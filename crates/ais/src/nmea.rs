@@ -6,7 +6,7 @@
 //! reassembles multi-fragment messages from an interleaved feed, as a
 //! real receiver must.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Maximum payload characters per sentence (keeps sentences within the
 /// 82-character NMEA limit).
@@ -25,6 +25,8 @@ pub enum NmeaError {
     BadNumber,
     /// A payload character is outside the armoring alphabet.
     BadPayloadChar(char),
+    /// The fragment index is outside `1..=count` (index, count).
+    BadFragment(u8, u8),
 }
 
 impl std::fmt::Display for NmeaError {
@@ -35,6 +37,7 @@ impl std::fmt::Display for NmeaError {
             NmeaError::BadChecksum(g, w) => write!(f, "checksum {g:02X} != {w:02X}"),
             NmeaError::BadNumber => write!(f, "malformed numeric field"),
             NmeaError::BadPayloadChar(c) => write!(f, "invalid payload character {c:?}"),
+            NmeaError::BadFragment(i, n) => write!(f, "fragment {i} of a {n}-fragment message"),
         }
     }
 }
@@ -57,6 +60,17 @@ pub struct Sentence {
     pub payload: String,
     /// Number of fill bits appended to the final 6-bit group.
     pub fill_bits: u8,
+}
+
+impl Sentence {
+    /// 0-based position of this fragment within its message.
+    fn slot(&self) -> Result<usize, NmeaError> {
+        if (1..=self.frag_count).contains(&self.frag_index) {
+            Ok(usize::from(self.frag_index) - 1)
+        } else {
+            Err(NmeaError::BadFragment(self.frag_index, self.frag_count))
+        }
+    }
 }
 
 /// XOR checksum over the characters between `!` and `*`.
@@ -135,7 +149,8 @@ pub fn to_sentences(bits: &[bool], fill_bits: usize, channel: char, message_id: 
     out
 }
 
-/// Parse one `!AIVDM` sentence, verifying the checksum.
+/// Parse one `!AIVDM` sentence, verifying the checksum and that the
+/// fragment index lies in `1..=frag_count`.
 pub fn parse_sentence(line: &str) -> Result<Sentence, NmeaError> {
     let line = line.trim();
     let rest = line.strip_prefix('!').ok_or(NmeaError::NotAivdm)?;
@@ -161,14 +176,16 @@ pub fn parse_sentence(line: &str) -> Result<Sentence, NmeaError> {
     };
     let channel = fields[4].chars().next().unwrap_or('A');
     let fill_bits: u8 = fields[6].parse().map_err(|_| NmeaError::BadNumber)?;
-    Ok(Sentence {
+    let sentence = Sentence {
         frag_count,
         frag_index,
         message_id,
         channel,
         payload: fields[5].to_string(),
         fill_bits,
-    })
+    };
+    sentence.slot()?;
+    Ok(sentence)
 }
 
 /// Reassembles multi-fragment messages from an interleaved sentence feed.
@@ -184,21 +201,26 @@ impl SentenceAssembler {
     }
 
     /// Feed one sentence; returns the full payload bits when a message
-    /// completes.
+    /// completes. A fragment index outside `1..=frag_count` is an
+    /// error and leaves every pending message as it was.
     pub fn push(&mut self, s: Sentence) -> Result<Option<Vec<bool>>, NmeaError> {
         if s.frag_count <= 1 {
             return Ok(Some(dearmor_payload(&s.payload, s.fill_bits)?));
         }
-        let key = (s.message_id, s.channel);
-        let slot = self.pending.entry(key).or_insert_with(|| vec![None; s.frag_count as usize]);
-        if slot.len() != s.frag_count as usize {
+        let idx = s.slot()?;
+        let count = usize::from(s.frag_count);
+        let mut entry = match self.pending.entry((s.message_id, s.channel)) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(entry) => entry.insert_entry(vec![None; count]),
+        };
+        let parts = entry.get_mut();
+        if parts.len() != count {
             // Conflicting fragment count: restart with the new one.
-            *slot = vec![None; s.frag_count as usize];
+            *parts = vec![None; count];
         }
-        let idx = (s.frag_index as usize).saturating_sub(1).min(slot.len() - 1);
-        slot[idx] = Some(s);
-        if slot.iter().all(Option::is_some) {
-            let parts = self.pending.remove(&key).expect("just inserted");
+        parts[idx] = Some(s);
+        if parts.iter().all(Option::is_some) {
+            let parts = entry.remove();
             let mut bits = Vec::new();
             for part in parts.into_iter().flatten() {
                 bits.extend(dearmor_payload(&part.payload, part.fill_bits)?);
@@ -362,6 +384,37 @@ mod tests {
         assert_eq!(parse_sentence("$GPGGA,foo*00"), Err(NmeaError::NotAivdm));
         assert!(parse_sentence("!AIVDM,1,1,,A*33").is_err());
         assert!(parse_sentence("garbage").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_fragment_index_outside_its_count() {
+        for (count, index) in [(2, 0), (2, 9), (2, 3), (0, 0), (0, 1)] {
+            let body = format!("AIVDM,{count},{index},3,A,55P5TL01VIaAL@7WKO@mBplU@<PDhh0000,0");
+            let line = format!("!{body}*{:02X}", checksum(&body));
+            assert_eq!(parse_sentence(&line), Err(NmeaError::BadFragment(index, count)), "{line}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fragment_leaves_the_pending_message_intact() {
+        let (bits, fill) = encode_payload(&static_msg());
+        let sentences = to_sentences(&bits, fill, 'B', 3);
+        assert_eq!(sentences.len(), 2);
+        let first = parse_sentence(&sentences[0]).unwrap();
+        let second = parse_sentence(&sentences[1]).unwrap();
+
+        let mut asm = SentenceAssembler::new();
+        assert_eq!(asm.push(first).unwrap(), None);
+        // Same message id and channel, indexes that used to be clamped
+        // onto fragment 1 and fragment 2.
+        for index in [0, 9] {
+            let stray = Sentence { frag_index: index, payload: "0000".into(), ..second.clone() };
+            assert_eq!(asm.push(stray), Err(NmeaError::BadFragment(index, 2)));
+            assert_eq!(asm.pending_count(), 1);
+        }
+        let back = asm.push(second).unwrap().expect("message completed");
+        assert_eq!(back, bits[..bits.len() - fill]);
+        assert_eq!(asm.pending_count(), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const HOURS: i64 = 4;
 
 /// Drive a churn workload through a `writers`-lane pipeline in arrival
 /// order (write-only: no reader handle, so snapshot publication is
-/// elided exactly as in the single-writer pipeline). Returns
+/// elided). Returns
 /// `(events, archived fixes, dropped late)`.
 pub fn drive_multi(fixes: &[mda_geo::Fix], writers: usize) -> (u64, usize, u64) {
     let config = PipelineConfig::regional(BoundingBox::new(42.0, 3.0, 44.0, 6.0));

@@ -17,11 +17,16 @@
 //! ```
 //!
 //! - [`config`] — one configuration struct for the whole pipeline.
-//! - [`pipeline`] — [`pipeline::MaritimePipeline`]: push observations
-//!   in arrival order, get events and an updated picture out.
-//! - [`multi`] — [`multi::MultiWriterPipeline`]: the same contract
-//!   over N shard-owning writer lanes synchronised by a tick-boundary
-//!   barrier; everything observable is writer-count invariant.
+//! - [`multi`] — the pipeline loop, [`multi::MultiWriterPipeline`]:
+//!   push observations in arrival order, get events and an updated
+//!   picture out. A router feeds N shard-owning writer lanes that meet
+//!   at a two-phase tick boundary; everything observable is
+//!   writer-count invariant, and one lane runs inline on the caller's
+//!   thread.
+//! - [`pipeline`] — [`pipeline::MaritimePipeline`]: that loop at one
+//!   lane and one epoch per arrival, plus the operator console's
+//!   extras (density raster, live kNN, normalcy model, knowledge
+//!   graph).
 //! - [`query`] — the serving layer: [`query::QueryService`], a
 //!   cloneable read front-end answering point/window/kNN/predictive
 //!   queries and event subscriptions from consistent watermark-stamped

@@ -1,60 +1,58 @@
-//! Multi-writer shard-owned ingest: N writer lanes, one tick barrier.
+//! The pipeline loop: one router, N shard-owning writer lanes, one
+//! two-phase tick boundary.
 //!
-//! [`MultiWriterPipeline`] decomposes the single-writer
-//! [`MaritimePipeline`](crate::pipeline::MaritimePipeline) ingest loop
-//! into `writers` lanes that each own a **disjoint shard set
-//! end-to-end** — reorder buffer → fuser → engine shards
-//! ([`mda_events::EngineLane`]) → store shards
-//! ([`mda_store::shards::StoreLane`]) — routed by the same
-//! [`mda_geo::vessel_shard`] hash every layer already uses (lane `w` of
-//! `n` owns the shards `s` with `s % n == w`). Lane state is touched by
-//! exactly one thread, so lanes never contend on a lock for their own
-//! data.
+//! [`MultiWriterPipeline`] is the integrated Figure-2 write path. A
+//! **router** (the caller's thread) validates arrivals, applies the
+//! late-drop rule, and routes each observation to one of `writers`
+//! **lanes** by the [`mda_geo::vessel_shard`] hash every layer already
+//! uses (lane `w` of `n` owns the shards `s` with `s % n == w`). A lane
+//! owns its shard set **end-to-end** — reorder buffer → fuser → engine
+//! shards ([`mda_events::EngineLane`]) → synopsis compressors → store
+//! shards ([`mda_store::shards::StoreLane`]) — and is touched by exactly
+//! one thread, so lanes never contend on a lock for their own data.
 //!
-//! ## The barrier protocol
+//! Arrivals are processed in **epochs**: every `ingest_batch` arrivals
+//! the router computes the due tick boundaries and runs all lanes to
+//! the current watermark through [`mda_stream::barrier::run_lanes`].
+//! With one lane that call is an inline function call on the router's
+//! thread — no spawn, no barrier, no lock — which is what
+//! [`MaritimePipeline`](crate::pipeline::MaritimePipeline) is: this
+//! loop at `writers = 1`, one epoch per arrival.
+//!
+//! ## The boundary protocol
 //!
 //! Per-vessel work parallelises trivially; the cross-shard points do
 //! not. Exactly two operations need the whole fleet at one event time:
 //! the pairwise sweeps (rendezvous/collision read a merged
 //! [`FleetIndex`]) and the publication of a [`SystemSnapshot`] stamp.
-//! Both happen only at aligned tick boundaries `T`, so the lanes run an
-//! explicit two-phase barrier ([`mda_stream::barrier::TickBarrier`],
-//! panic-safe like `run_with_readers`) at every boundary:
+//! Both happen only at aligned tick boundaries `T`, so the lanes make
+//! two crossings ([`Shared::cross`](mda_stream::barrier::Shared::cross), panic-safe like
+//! `run_with_readers`) at every boundary:
 //!
-//! 1. every lane processes exactly its accepted data with `t <= T`,
-//!    deposits its per-shard detector events and live-index clones,
-//!    then quiesces; the elected leader merges the deposits in global
-//!    shard order (the engine's canonical event sort) and builds the
-//!    fleet view;
+//! 1. every lane processes exactly its accepted data with `t <= T` and
+//!    deposits its detector events and live-index clones; the last lane
+//!    to arrive leads: it merges the deposits into the engine's
+//!    canonical event order and builds the fleet view;
 //! 2. every lane sweeps its own shards against the shared fleet view
-//!    and deposits tick events and evictions; the leader merges,
-//!    seals, and publishes the stamp `T`, then the lanes fan the
+//!    and deposits tick events and evictions; the leader merges, seals,
+//!    marks and publishes the stamp `T`, then the lanes fan the
 //!    eviction union out to their pair state and resume.
 //!
-//! Because the router accepts/drops arrivals and fires boundaries
-//! exactly like the single-writer pipeline, everything observable —
-//! emitted event sets, archive contents, published stamps and their
-//! snapshot answers, report counters — is a pure function of the
-//! arrival stream and **invariant under the writer count**
+//! Because the router's accept/drop decisions and the boundary firing
+//! sequence are pure functions of the arrival stream, and every
+//! cross-lane merge is order-free, everything observable — emitted
+//! event sets, archive contents, published stamps and their snapshot
+//! answers, report counters — is **invariant under the writer count**
 //! (`tests/scenario_determinism.rs`, `tests/query_consistency.rs` and
 //! `tests/multi_writer.rs` hold it to that for 1/2/4/8 writers).
-//!
-//! ## Scope
-//!
-//! The lanes carry the serving-relevant stages: reorder, fusion, event
-//! recognition, synopsis compression, archive appends and
-//! route-network learning (lane parts merge exactly; see
-//! [`RouteNetwork::merge_from`]). The single-writer pipeline's
-//! console-only extras (density raster, live kNN engine, normalcy
-//! model, semantic graph, weather enrichment) stay on
-//! [`MaritimePipeline`](crate::pipeline::MaritimePipeline).
 
 use crate::config::PipelineConfig;
+use crate::pipeline::Console;
 use crate::query::{QueryService, QueryShared, SystemSnapshot};
 use crate::report::{PipelineReport, StageMetric, StageTimer};
 use mda_ais::messages::AisMessage;
 use mda_ais::quality;
-use mda_events::engine::{canonical_sort, EngineLane};
+use mda_events::engine::{canonical_sort, EngineConfig, EngineLane};
 use mda_events::event::MaritimeEvent;
 use mda_events::proximity::{FleetIndex, LiveIndex};
 use mda_forecast::routenet::{RouteNetPredictor, RouteNetwork};
@@ -65,16 +63,15 @@ use mda_store::segment::SegmentConfig;
 use mda_store::shards::{StIndexConfig, StoreConfig, StoreLane};
 use mda_store::shared::SharedTrajectoryStore;
 use mda_store::DurableStore;
-use mda_stream::barrier::{run_lanes, LaneRole};
+use mda_stream::barrier::run_lanes;
 use mda_stream::control::{AdaptiveController, ArrivalWindow, Knobs};
 use mda_stream::reorder::ReorderBuffer;
 use mda_stream::watermark::{BoundedOutOfOrderness, SealSchedule, TickSchedule};
 use mda_synopses::compress::ThresholdCompressor;
 use mda_track::fusion::Fuser;
 use mda_track::sensor::{SensorKind, SensorReport};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// An observation routed to a writer lane's reorder buffer.
 #[derive(Debug, Clone)]
@@ -84,7 +81,7 @@ enum LaneItem {
     Vms(VmsReport),
 }
 
-/// Per-lane stage timings, summed into the aggregate report.
+/// Per-lane stage timings since the last epoch end.
 #[derive(Debug, Default)]
 struct LaneMetrics {
     reorder: StageMetric,
@@ -95,124 +92,295 @@ struct LaneMetrics {
     storage: StageMetric,
 }
 
+/// The parts of the pipeline every lane reaches: the configuration and
+/// the internally synchronised stores.
+struct Context {
+    config: PipelineConfig,
+    /// The archive (shared with all lane handles).
+    store: SharedTrajectoryStore,
+    /// Durable backing of the archive, when configured: `store` is its
+    /// in-memory face. Lanes log their fix batches through it; the
+    /// phase-2 leader seals and marks through it.
+    durable: Option<Arc<DurableStore>>,
+    query: Arc<QueryShared>,
+}
+
 /// One writer lane: the full per-shard pipeline for a disjoint shard
 /// set, owned by exactly one thread during an epoch.
-struct WriterLane {
+pub(crate) struct WriterLane {
     reorder: ReorderBuffer<LaneItem>,
-    fuser: Fuser,
-    engine: EngineLane,
-    compressors: HashMap<VesselId, ThresholdCompressor>,
+    pub(crate) fuser: Fuser,
+    pub(crate) engine: EngineLane,
+    pub(crate) compressors: HashMap<VesselId, ThresholdCompressor>,
     /// This lane's additive slice of the learned route network; the
     /// published predictor merges all slices (exact under the cell
     /// statistics' integer quantization).
-    route_part: RouteNetwork,
+    pub(crate) route_part: RouteNetwork,
     store: StoreLane,
+    /// The operator extras, fed per fix batch — present only on the
+    /// lone lane of a [`MaritimePipeline`](crate::MaritimePipeline).
+    pub(crate) console: Option<Box<Console>>,
     metrics: LaneMetrics,
+    /// Detector events since the last crossing, each shard's in its
+    /// processing order.
+    events: Vec<MaritimeEvent>,
     /// Tick boundaries this lane has crossed (fault-injection seam).
     boundaries_crossed: u64,
 }
 
-/// Deposit area for one epoch, reused across boundaries: each slot is
-/// written by exactly one lane before a barrier and consumed by the
-/// leader behind it.
-struct EpochScratch {
-    /// Per global shard: detector events from the interval batches.
-    batch_events: Vec<Vec<MaritimeEvent>>,
-    /// Per global shard: detector events from the boundary sweep.
-    tick_events: Vec<Vec<MaritimeEvent>>,
-    /// Per global shard: live-index clone at the boundary.
-    indexes: Vec<Option<LiveIndex>>,
-    /// Leader-built fleet view the lanes sweep against.
-    fleet: Option<Arc<FleetIndex>>,
-    /// Per lane: vessels TTL-evicted by this boundary's sweep.
-    gone: Vec<Vec<VesselId>>,
-    /// Leader-built union of `gone`, fanned out to every lane's pair
-    /// state.
-    gone_all: Arc<HashSet<VesselId>>,
-    /// Per lane: live vessels after the sweep.
-    live_counts: Vec<usize>,
-    /// Per lane: route-network slice clone (only when a predictor
-    /// refresh is due).
-    route_parts: Vec<Option<RouteNetwork>>,
-    /// Leader decision: publish a snapshot at this boundary?
-    publish: bool,
-    /// Leader decision: rebuild the published predictor at this
-    /// boundary?
-    want_route: bool,
+impl WriterLane {
+    /// Process the lane's released items up to a boundary: consecutive
+    /// AIS fixes are grouped into one batch (one shard-affine engine run
+    /// per batch instead of a dispatch per fix); radar/VMS items flush
+    /// the current batch and go to fusion.
+    fn process_interval(&mut self, items: &[(Timestamp, LaneItem)], ctx: &Context) {
+        let mut batch: Vec<Fix> = Vec::new();
+        for (_, item) in items {
+            let (kind, t, pos, claimed_id) = match item {
+                LaneItem::Ais(fix) => {
+                    batch.push(*fix);
+                    continue;
+                }
+                LaneItem::Radar(plot) => (SensorKind::Radar, plot.t, plot.pos, None),
+                LaneItem::Vms(v) => (SensorKind::Vms, v.t, v.pos, Some(v.id)),
+            };
+            self.process_fix_batch(std::mem::take(&mut batch), ctx);
+            let _t = StageTimer::new(&mut self.metrics.fusion);
+            self.fuser.ingest(&SensorReport {
+                kind,
+                t,
+                pos,
+                claimed_id,
+                sog_kn: None,
+                cog_deg: None,
+                accuracy_m: None,
+            });
+        }
+        self.process_fix_batch(batch, ctx);
+    }
+
+    /// One fix batch through the lane's stages: fuse, recognise,
+    /// compress, learn, archive, log.
+    fn process_fix_batch(&mut self, mut fixes: Vec<Fix>, ctx: &Context) {
+        if fixes.is_empty() {
+            return;
+        }
+        // Canonicalise here, not just inside the engine: the synopsis
+        // and archive stages must also see same-timestamp duplicates in
+        // a content order, or an upstream shuffle within the watermark
+        // delay could change which fix a compressor keeps. A lane
+        // subset sorted by this total order yields the same per-shard
+        // subsequences a global sort would.
+        canonical_sort(&mut fixes);
+        {
+            let _t = StageTimer::new(&mut self.metrics.fusion);
+            for fix in &fixes {
+                self.fuser.ingest(&SensorReport::from_fix(SensorKind::AisTerrestrial, fix));
+            }
+        }
+        {
+            let _t = StageTimer::new(&mut self.metrics.events);
+            for (_, events) in self.engine.observe_sorted(&fixes) {
+                self.events.extend(events);
+            }
+        }
+        let kept: Vec<Fix> = {
+            let _t = StageTimer::new(&mut self.metrics.synopses);
+            let compressors = &mut self.compressors;
+            fixes
+                .iter()
+                .filter_map(|fix| {
+                    compressors
+                        .entry(fix.id)
+                        .or_insert_with(|| ThresholdCompressor::new(ctx.config.synopsis))
+                        .observe(*fix)
+                })
+                .collect()
+        };
+        {
+            let _t = StageTimer::new(&mut self.metrics.analytics);
+            for fix in &fixes {
+                self.route_part.learn(fix);
+            }
+            if let Some(console) = &mut self.console {
+                console.learn(&fixes);
+            }
+        }
+        let _t = StageTimer::new(&mut self.metrics.storage);
+        // One batched archive append (one shard lock + one merge per
+        // touched shard) instead of a per-fix trickle: the batch is
+        // canonically sorted, so per-vessel order is what per-fix
+        // appends would have produced.
+        if !kept.is_empty() {
+            self.store.append_batch(kept.iter().copied());
+        }
+        // One WAL record per batch, before the lane reaches the next
+        // crossing: the leader's mark for any boundary covering these
+        // fixes fires behind that crossing, so the log never trails a
+        // durable mark. (The WAL writer serializes concurrent lanes.)
+        if let Some(d) = &ctx.durable {
+            d.log_batch(&kept).expect("write-ahead-log fix batch");
+        }
+        if let Some(console) = &mut self.console {
+            console.enrich(&kept);
+        }
+    }
 }
 
-/// Serving/publication state shared between the lanes (under one
-/// mutex; held only for deposits and leader sections while every other
-/// lane is parked at the barrier).
+/// Serving/publication state the lanes share (held only for deposits
+/// and leader sections while every other lane is parked at the
+/// barrier). The deposit fields are reused across boundaries: each is
+/// filled by the lanes before a crossing and consumed by its leader.
 struct SharedState {
     seals: SealSchedule,
     store_snapshot: mda_store::StoreSnapshot,
     published_route: Arc<RouteNetPredictor>,
     ticks_since_refresh: u32,
     last_published: Timestamp,
-    draining: bool,
-    /// Snapshot of `Arc::strong_count(&query) > 1`, taken once per
-    /// epoch on the router thread (handles are created through
-    /// `&mut self`, so the count cannot change mid-epoch).
-    has_readers: bool,
     emitted: u64,
     evicted: u64,
     live: u64,
     seal_sweeps: u64,
-    /// The adaptive controller, when configured. Lives behind the
-    /// shared mutex so the phase-2 barrier leader — whichever lane wins
-    /// the election — commits knob moves at each boundary, in the same
-    /// phase that seals and publishes. The router absorbs its arrival
-    /// window into it once per epoch, before any lane runs.
-    control: Option<AdaptiveController>,
-    detector_counts: HashMap<&'static str, u64>,
-    /// Events finalised this epoch, in emission order (flush's return).
+    /// Events finalised this epoch, in emission order (the push call's
+    /// return).
     out: Vec<MaritimeEvent>,
-    scratch: EpochScratch,
+    /// Deposit: detector events since the last crossing.
+    events: Vec<MaritimeEvent>,
+    /// Deposit: live-index clones at the boundary (none from a lone
+    /// lane, whose leader reads its indexes in place).
+    indexes: Vec<LiveIndex>,
+    /// Leader-built fleet view the lanes sweep against.
+    fleet: Arc<FleetIndex>,
+    /// Deposit: vessels TTL-evicted by this boundary's sweep.
+    gone: Vec<VesselId>,
+    /// Leader-built set of `gone`, fanned out to every lane's pair
+    /// state.
+    gone_all: Arc<HashSet<VesselId>>,
+    /// Deposit: live vessels after the sweep, summed over lanes.
+    live_deposit: usize,
+    /// Deposit: route-network slices (only when a predictor refresh is
+    /// planned).
+    route_parts: Vec<RouteNetwork>,
+    /// Leader decision: publish a snapshot at this boundary?
+    publish: bool,
+    /// Leader decision: rebuild the published predictor with it?
+    want_route: bool,
 }
 
-fn lock(shared: &Mutex<SharedState>) -> MutexGuard<'_, SharedState> {
-    shared.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Concatenate per-shard deposits in global shard order and stable-sort
-/// by the canonical event key — byte-for-byte the single engine's
-/// emission order.
-fn merge_deposits(lists: &mut [Vec<MaritimeEvent>]) -> Vec<MaritimeEvent> {
-    let mut all = Vec::new();
-    for list in lists {
-        all.append(list);
-    }
-    all.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-    all
+fn state(shared: &mut Mutex<SharedState>) -> &mut SharedState {
+    shared.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl SharedState {
-    /// Account merged events (tally, gauge, ring, epoch output).
-    fn emit(&mut self, events: Vec<MaritimeEvent>, query: &QueryShared) {
-        if events.is_empty() {
+    /// Merge the deposited events into the engine's emission order —
+    /// a stable sort by the canonical event key: equal keys share a
+    /// vessel, hence a shard, hence one lane's processing order — and
+    /// account them (gauge, ring, epoch output).
+    fn emit_deposits(&mut self, query: &QueryShared) {
+        if self.events.is_empty() {
             return;
         }
-        for e in &events {
-            *self.detector_counts.entry(e.kind.label()).or_insert(0) += 1;
+        self.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        self.emitted += self.events.len() as u64;
+        query.append_events(&self.events);
+        self.out.append(&mut self.events);
+    }
+
+    /// Decide whether the stamp `wm` is published and, if so, whether
+    /// the predictor is rebuilt with it (every `cadence` publications).
+    /// Stamps are monotone and unique — equal stamps always mean the
+    /// same state (the `Stamped` contract) — so a boundary at or behind
+    /// the last published one (possible when ingest continues after a
+    /// `finish`, whose stamp runs ahead of the tick grid) is skipped.
+    /// So is all publication work while no [`QueryService`] handle
+    /// exists: nobody can observe a snapshot, so cloning changed hot
+    /// shards would be pure ingest tax. (The event ring is still fed —
+    /// a late subscriber may replay its retention.)
+    fn plan_publication(&mut self, wm: Timestamp, has_readers: bool, cadence: u32) {
+        self.publish = has_readers && wm > self.last_published;
+        self.want_route = false;
+        if self.publish {
+            self.ticks_since_refresh += 1;
+            if self.ticks_since_refresh >= cadence {
+                self.want_route = true;
+                self.ticks_since_refresh = 0;
+            }
         }
-        self.emitted += events.len() as u64;
-        query.append_events(&events);
-        self.out.extend(events);
+    }
+
+    /// Carry out the planned publication of stamp `wm`. The store side
+    /// reuses unchanged shards from the previous publication;
+    /// `route_parts` (every lane's slice) is consumed only when the
+    /// predictor is rebuilt.
+    fn publish(
+        &mut self,
+        wm: Timestamp,
+        mut route_parts: impl Iterator<Item = RouteNetwork>,
+        ctx: &Context,
+    ) {
+        if !self.publish {
+            return;
+        }
+        self.last_published = wm;
+        if self.want_route {
+            let mut net = route_parts.next().expect("every lane contributes a slice");
+            for part in route_parts {
+                net.merge_from(&part);
+            }
+            self.published_route = Arc::new(RouteNetPredictor::new(net));
+        }
+        let snap = ctx.store.snapshot(Some(&self.store_snapshot));
+        self.store_snapshot = snap.clone();
+        ctx.query.publish(SystemSnapshot::new(
+            wm,
+            snap,
+            Arc::clone(&self.published_route),
+            self.live,
+            self.emitted,
+        ));
+    }
+
+    /// The phase-2 leader section at boundary `b`: merge the sweep
+    /// deposits, seal, mark, publish.
+    fn close_boundary(&mut self, b: Timestamp, ctx: &Context) {
+        self.emit_deposits(&ctx.query);
+        self.evicted += self.gone.len() as u64;
+        self.gone_all = Arc::new(self.gone.drain(..).collect());
+        self.live = std::mem::take(&mut self.live_deposit) as u64;
+        // Watermark-driven retention: rotate fixes older than the hot
+        // horizon into sealed cold segments. The schedule quantizes
+        // cuts to aligned boundaries — a pure function of event time.
+        // A durable seal persists the segments and rotates the WAL;
+        // every other lane is parked, so the store is append-quiescent.
+        if let Some(cut) = self.seals.due(b) {
+            match &ctx.durable {
+                Some(d) => {
+                    d.seal_before(cut).expect("persist seal sweep");
+                }
+                None => {
+                    ctx.store.seal_before(cut);
+                }
+            }
+            self.seal_sweeps += 1;
+        }
+        // Record the durability boundary whether or not a snapshot is
+        // published: every lane has processed (and logged) exactly its
+        // data with `t <= b` — durability must never starve because
+        // nobody is reading.
+        if let Some(d) = &ctx.durable {
+            d.mark(b).expect("record durability mark");
+        }
+        let parts = std::mem::take(&mut self.route_parts);
+        self.publish(b, parts.into_iter(), ctx);
     }
 }
 
-/// The multi-writer counterpart of
-/// [`MaritimePipeline`](crate::pipeline::MaritimePipeline): same push
-/// API, same event-time semantics, `writers` shard-owning lanes doing
-/// the work.
+/// The integrated pipeline (Figure 2) over `writers` shard-owning
+/// lanes: push observations in arrival order, get event-time ordered
+/// analytics out.
 ///
-/// Arrivals are routed to lanes by vessel shard, buffered per lane, and
-/// processed in **epochs**: every `ingest_batch` arrivals the router
-/// computes the due tick boundaries and runs all lanes to the current
-/// watermark under the barrier protocol described in the
-/// [module docs](self). Everything observable is writer-count
-/// invariant.
+/// Everything observable is writer-count invariant; see the
+/// [module docs](self) for the loop and its boundary protocol.
 ///
 /// ```
 /// use mda_core::multi::MultiWriterPipeline;
@@ -232,42 +400,32 @@ impl SharedState {
 /// assert_eq!(service.fleet().value.archived_vessels, 8);
 /// ```
 pub struct MultiWriterPipeline {
-    config: PipelineConfig,
-    writers: usize,
-    total_shards: usize,
+    ctx: Context,
     ingest_batch: usize,
     arrivals_since_flush: usize,
     watermark: BoundedOutOfOrderness,
-    /// Mirror of the single-writer reorder frontier: arrivals at or
-    /// behind it are dropped as late, exactly as `ReorderBuffer::push`
-    /// would after a release at every arrival.
+    /// The late frontier: arrivals at or behind it are dropped. It
+    /// trails the running watermark exactly as a reorder buffer
+    /// released at every arrival would, and starts at a recovered
+    /// run's published watermark — replays of data the archive already
+    /// holds are late by definition, which keeps the WAL mark
+    /// discipline intact across restarts.
     drop_frontier: Timestamp,
     /// Watermark of the last epoch: every accepted observation with
     /// `t <=` this has been fully processed, so it is the
     /// content-correct stamp for catch-up publications.
     released_frontier: Timestamp,
-    /// Event times of accepted, not-yet-processed observations — the
-    /// router's mirror of the lane buffers, driving the tick schedule
-    /// with the same globally sorted stream the single writer sees.
-    pending_ts: BinaryHeap<Reverse<Timestamp>>,
     ticks: TickSchedule,
-    lanes: Vec<WriterLane>,
-    store: SharedTrajectoryStore,
-    /// Durable backing of the archive, when configured. Lanes log
-    /// their fix batches through it; the phase-2 barrier leader seals
-    /// and marks through it (every other lane parked — exactly the
-    /// append quiescence a durable seal requires).
-    durable: Option<Arc<DurableStore>>,
-    query: Arc<QueryShared>,
+    pub(crate) lanes: Vec<WriterLane>,
     shared: Mutex<SharedState>,
-    /// Router-side counters (ingest/validation/routing); lane metrics
-    /// and shared gauges are folded in by [`MultiWriterPipeline::report`].
-    report: PipelineReport,
-    /// Arrival-side observation window of the adaptive controller
-    /// (`None` when static). Lives on the router thread — the one
-    /// thread that sees every arrival — so observing never takes a
-    /// lock.
-    arrivals: Option<ArrivalWindow>,
+    /// Router counters, plus the lane timings and shared gauges folded
+    /// in at every epoch end.
+    pub(crate) report: PipelineReport,
+    /// The adaptive controller and its arrival-side observation window
+    /// (`None` when the pipeline runs static knobs). Both live on the
+    /// router thread — the one thread that sees every arrival — so
+    /// observing and committing never take a lock.
+    adaptive: Option<(ArrivalWindow, AdaptiveController)>,
     /// The aligned frontier boundary of the last knob commit — the
     /// gate keeping the commit schedule one-per-boundary.
     last_control_commit: Timestamp,
@@ -277,32 +435,44 @@ pub struct MultiWriterPipeline {
 
 impl MultiWriterPipeline {
     /// Build a pipeline with `writers` lanes (clamped to
-    /// `1..=store_shards`).
+    /// `1..=store_shards`). Zones for the event engine come from
+    /// `config.events.zones`.
+    ///
+    /// With [`PipelineConfig::durability`] set, the archive opens (or
+    /// recovers) a [`DurableStore`] in the configured directory: a
+    /// directory holding a previous run restores its cold segments,
+    /// hot tier and published watermark before any new observation is
+    /// accepted, and the first published stamp continues monotonically
+    /// from the recovered one.
     ///
     /// # Panics
     ///
-    /// Panics if `config.events.shards != config.store_shards` — lane
-    /// ownership is defined over the one shared shard space
-    /// ([`PipelineConfig::regional`] guarantees this).
+    /// Panics if several lanes are asked for and
+    /// `config.events.shards != config.store_shards` — lane ownership
+    /// is defined over the one shared shard space
+    /// ([`PipelineConfig::regional`] guarantees this) — or if the
+    /// durable data directory cannot be opened or recovered (I/O error
+    /// or corrupt manifest): a pipeline asked for durability must not
+    /// silently run without it.
     pub fn new(config: PipelineConfig, writers: usize) -> Self {
-        assert_eq!(
-            config.events.shards.max(1),
-            config.store_shards.max(1),
+        let writers = writers.clamp(1, config.store_shards.max(1));
+        assert!(
+            writers == 1 || config.events.shards.max(1) == config.store_shards.max(1),
             "writer lanes need engine and store sharding aligned"
         );
-        let total_shards = config.store_shards.max(1);
-        let writers = writers.clamp(1, total_shards);
-        // Same TTL resolution as the single-writer pipeline: the
-        // retention policy owns the live-state TTL unless the engine
-        // config was explicitly customised.
-        let default_ttl = mda_events::engine::EngineConfig::default().vessel_ttl;
-        let vessel_ttl = if config.events.vessel_ttl == default_ttl {
+        // The retention policy owns the live-state TTL so the detector
+        // layer and the lanes' per-vessel maps evict together — but an
+        // explicitly customised `events.vessel_ttl` wins over the
+        // retention default rather than being silently discarded.
+        let vessel_ttl = if config.events.vessel_ttl == EngineConfig::default().vessel_ttl {
             config.retention.detector_ttl
         } else {
             config.events.vessel_ttl
         };
-        let events_config =
-            mda_events::engine::EngineConfig { vessel_ttl, ..config.events.clone() };
+        let events_config = EngineConfig { vessel_ttl, ..config.events.clone() };
+        // The archive is lock-striped by vessel hash; its per-shard
+        // grid index is maintained at ingest time so window queries
+        // never rebuild anything.
         let store_config = StoreConfig {
             shards: config.store_shards,
             st_index: Some(StIndexConfig {
@@ -317,9 +487,6 @@ impl MultiWriterPipeline {
                 ..SegmentConfig::default()
             },
         };
-        // Same durable wiring as the single writer: a configured data
-        // directory is opened (or recovered) before any lane exists,
-        // and the lanes share the durable store's in-memory face.
         let (store, durable) = match &config.durability {
             Some(d) => {
                 let durable = DurableStore::open(store_config, d)
@@ -329,36 +496,29 @@ impl MultiWriterPipeline {
             None => (SharedTrajectoryStore::with_config(store_config), None),
         };
         let durable_floor = durable.as_ref().map_or(Timestamp::MIN, |d| d.watermark());
-        // Adaptive control: same construction as the single writer —
-        // static knobs seed the controller, clamped into bounds, and
-        // the clamped values are what actually gets applied.
-        let (arrivals, control) = match config.adaptive {
-            Some(ctl) => {
-                let initial = Knobs {
-                    delay: config.watermark_delay,
-                    seal_every: config.retention.seal_every,
-                    ring_capacity: config.query.event_capacity,
-                };
-                (
-                    Some(ArrivalWindow::new(total_shards, ctl.fast_alpha, ctl.slow_alpha)),
-                    Some(AdaptiveController::new(ctl, initial)),
-                )
-            }
-            None => (None, None),
+        // Adaptive control: the static knobs seed the controller, which
+        // clamps them into its bounds; the clamped values are what is
+        // actually applied.
+        let mut knobs = Knobs {
+            delay: config.watermark_delay,
+            seal_every: config.retention.seal_every,
+            ring_capacity: config.query.event_capacity,
         };
-        let knobs0 = control.as_ref().map_or(
-            Knobs {
-                delay: config.watermark_delay,
-                seal_every: config.retention.seal_every,
-                ring_capacity: config.query.event_capacity,
-            },
-            |c| c.knobs(),
-        );
+        let adaptive = config.adaptive.map(|ctl| {
+            let window = ArrivalWindow::new(config.store_shards, ctl.fast_alpha, ctl.slow_alpha);
+            let controller = AdaptiveController::new(ctl, knobs);
+            knobs = controller.knobs();
+            (window, controller)
+        });
         let route_net = RouteNetwork::new(config.bounds, config.model_cell_deg);
+        // The serving layer starts on an empty snapshot; a fresh
+        // pipeline stamps it MIN (the first tick publishes real state),
+        // a recovered one stamps it with the recovered watermark so
+        // reader stamps continue monotonically.
         let published_route = Arc::new(RouteNetPredictor::new(route_net.clone()));
         let store_snapshot = store.snapshot(None);
         let query = Arc::new(QueryShared::new(
-            knobs0.ring_capacity,
+            knobs.ring_capacity,
             SystemSnapshot::new(
                 durable_floor,
                 store_snapshot.clone(),
@@ -375,67 +535,57 @@ impl MultiWriterPipeline {
                 compressors: HashMap::new(),
                 route_part: route_net.clone(),
                 store: store.lane(w, writers),
+                console: None,
                 metrics: LaneMetrics::default(),
+                events: Vec::new(),
                 boundaries_crossed: 0,
             })
             .collect();
         let shared = Mutex::new(SharedState {
-            seals: SealSchedule::new(knobs0.seal_every, config.retention.hot_horizon),
+            seals: SealSchedule::new(knobs.seal_every, config.retention.hot_horizon),
             store_snapshot,
             published_route,
             ticks_since_refresh: 0,
             last_published: durable_floor,
-            draining: false,
-            has_readers: false,
             emitted: 0,
             evicted: 0,
             live: 0,
             seal_sweeps: 0,
-            control,
-            detector_counts: HashMap::new(),
             out: Vec::new(),
-            scratch: EpochScratch {
-                batch_events: (0..total_shards).map(|_| Vec::new()).collect(),
-                tick_events: (0..total_shards).map(|_| Vec::new()).collect(),
-                indexes: (0..total_shards).map(|_| None).collect(),
-                fleet: None,
-                gone: (0..writers).map(|_| Vec::new()).collect(),
-                gone_all: Arc::new(HashSet::new()),
-                live_counts: vec![0; writers],
-                route_parts: (0..writers).map(|_| None).collect(),
-                publish: false,
-                want_route: false,
-            },
+            events: Vec::new(),
+            indexes: Vec::new(),
+            fleet: Arc::default(),
+            gone: Vec::new(),
+            gone_all: Arc::default(),
+            live_deposit: 0,
+            route_parts: Vec::new(),
+            publish: false,
+            want_route: false,
         });
         Self {
-            writers,
-            total_shards,
             ingest_batch: 256,
             arrivals_since_flush: 0,
-            watermark: BoundedOutOfOrderness::new(knobs0.delay),
-            // A recovered run's published watermark is the late floor:
-            // replays of data it already holds are dropped, keeping the
-            // WAL mark discipline intact across restarts.
+            watermark: BoundedOutOfOrderness::new(knobs.delay),
             drop_frontier: durable_floor,
             released_frontier: durable_floor,
-            pending_ts: BinaryHeap::new(),
             ticks: TickSchedule::new(config.tick_interval),
             lanes,
-            store,
-            durable,
-            query,
             shared,
             report: PipelineReport::default(),
-            arrivals,
+            adaptive,
             last_control_commit: Timestamp::MIN,
             inject: None,
-            config,
+            ctx: Context { config, store, durable, query },
         }
     }
 
     /// Set how many arrivals the router buffers between epochs (min 1;
     /// default 256). Smaller batches publish stamps with less arrival
-    /// lag; larger batches amortise the barrier.
+    /// lag; larger batches amortise the barrier. Same-timestamp
+    /// duplicates of one vessel (dual-receiver clones) are resolved per
+    /// released batch, so which member of such a pair the synopsis
+    /// keeps — metres apart, same instant — is the one output that may
+    /// vary with this setting.
     pub fn with_ingest_batch(mut self, arrivals: usize) -> Self {
         self.ingest_batch = arrivals.max(1);
         self
@@ -443,19 +593,7 @@ impl MultiWriterPipeline {
 
     /// Number of writer lanes.
     pub fn writers(&self) -> usize {
-        self.writers
-    }
-
-    /// The archival store (shared with all lane handles).
-    pub fn store(&self) -> &SharedTrajectoryStore {
-        &self.store
-    }
-
-    /// The durable backing store, when durability is configured — for
-    /// inspecting the [`mda_store::RecoveryReport`] or the durable
-    /// watermark.
-    pub fn durable(&self) -> Option<&DurableStore> {
-        self.durable.as_deref()
+        self.lanes.len()
     }
 
     /// Test seam: make lane `lane` panic just before it arrives at its
@@ -466,34 +604,45 @@ impl MultiWriterPipeline {
     }
 
     /// Push one received AIS observation (arrival order). Returns the
-    /// events finalised by the epoch this arrival completed (usually
-    /// empty — epochs run every `ingest_batch` arrivals).
+    /// events finalised by the epoch this arrival completed (empty
+    /// between epochs, which run every `ingest_batch` arrivals).
     pub fn push_ais(&mut self, obs: &AisObservation) -> Vec<MaritimeEvent> {
-        let _t = StageTimer::new(&mut self.report.ingest);
-        self.report.ais_messages += 1;
-        match &obs.msg {
-            AisMessage::StaticVoyage(sv) => {
-                self.report.static_messages += 1;
-                if !quality::validate_static(sv).is_clean() {
-                    self.report.static_flagged += 1;
-                }
-                drop(_t);
-                Vec::new()
-            }
-            msg => {
-                let Some(fix) = msg.to_fix(obs.t_sent) else {
-                    self.report.invalid_messages += 1;
-                    drop(_t);
+        let fix = {
+            let _t = StageTimer::new(&mut self.report.ingest);
+            self.report.ais_messages += 1;
+            match &obs.msg {
+                AisMessage::StaticVoyage(sv) => {
+                    self.report.static_messages += 1;
+                    if !quality::validate_static(sv).is_clean() {
+                        self.report.static_flagged += 1;
+                    }
                     return Vec::new();
-                };
-                drop(_t);
-                self.enqueue(fix.t, LaneItem::Ais(fix))
+                }
+                msg => match msg.to_fix(obs.t_sent) {
+                    Some(fix) => fix,
+                    None => {
+                        self.report.invalid_messages += 1;
+                        return Vec::new();
+                    }
+                },
             }
-        }
+        };
+        self.push_fix(fix)
     }
 
-    /// Push one already-decoded AIS position fix (arrival order).
+    /// Push one already-decoded AIS position fix (arrival order) — the
+    /// raw-fix ingest path for feeds that bypass AIVDM decoding.
     pub fn push_fix(&mut self, fix: Fix) -> Vec<MaritimeEvent> {
+        // Adaptive control observes every AIS arrival — including ones
+        // about to be dropped as late, since lateness pressure is
+        // exactly the signal — keyed by the *store* shard of the
+        // vessel, which is writer-count invariant. Radar/VMS routing
+        // depends on the writer layout, so those streams are not
+        // observed: the controller's inputs must be a pure function of
+        // the event-time stream.
+        if let Some((window, _)) = &mut self.adaptive {
+            window.observe(fix.t, vessel_shard(fix.id, self.ctx.config.store_shards));
+        }
         self.enqueue(fix.t, LaneItem::Ais(fix))
     }
 
@@ -514,130 +663,126 @@ impl MultiWriterPipeline {
     /// so any deterministic function of their content will do — they
     /// only feed the owning lane's fuser.
     fn route(&self, item: &LaneItem) -> usize {
+        let (shards, writers) = (self.ctx.config.store_shards, self.lanes.len());
+        if writers == 1 {
+            return 0;
+        }
         match item {
-            LaneItem::Ais(fix) => vessel_shard(fix.id, self.total_shards) % self.writers,
-            LaneItem::Vms(v) => vessel_shard(v.id, self.total_shards) % self.writers,
+            LaneItem::Ais(fix) => vessel_shard(fix.id, shards) % writers,
+            LaneItem::Vms(v) => vessel_shard(v.id, shards) % writers,
             LaneItem::Radar(plot) => {
                 let mut h = plot.t.millis() as u64;
                 h ^= plot.pos.lat.to_bits().rotate_left(17);
                 h ^= plot.pos.lon.to_bits().rotate_left(43);
-                (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.writers
+                (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % writers
             }
         }
     }
 
+    /// The late-drop rule, then buffering on the owning lane; every
+    /// `ingest_batch`-th arrival runs an epoch.
     fn enqueue(&mut self, t: Timestamp, item: LaneItem) -> Vec<MaritimeEvent> {
-        // Same observation rule as the single writer: every AIS
-        // arrival — accepted or about to drop late — keyed by its
-        // *store* shard (writer-count invariant; lane indices are not).
-        // Radar/VMS are not observed: radar routing depends on the
-        // writer layout.
-        if let (Some(w), LaneItem::Ais(fix)) = (self.arrivals.as_mut(), &item) {
-            w.observe(t, vessel_shard(fix.id, self.total_shards));
-        }
         let lane = self.route(&item);
         {
             let _t = StageTimer::new(&mut self.report.reorder);
-            // Same acceptance rule as the single writer, which releases
-            // its buffer at every arrival: at or behind the running
-            // watermark frontier means late.
             if t <= self.drop_frontier && self.drop_frontier != Timestamp::MIN {
                 self.report.dropped_late += 1;
                 self.watermark.observe(t);
             } else {
                 let wm = self.watermark.observe(t);
                 self.drop_frontier = self.drop_frontier.max(wm);
-                self.pending_ts.push(Reverse(t));
                 let accepted = self.lanes[lane].reorder.push(t, item);
                 debug_assert!(accepted, "router accepted an item its lane rejected");
             }
         }
         self.arrivals_since_flush += 1;
-        if self.arrivals_since_flush >= self.ingest_batch {
-            self.flush()
-        } else {
-            Vec::new()
+        if self.arrivals_since_flush < self.ingest_batch {
+            return Vec::new();
         }
-    }
-
-    /// Run one epoch to the current watermark and return the events it
-    /// finalised.
-    fn flush(&mut self) -> Vec<MaritimeEvent> {
         self.arrivals_since_flush = 0;
-        let wm = self.watermark.current();
-        self.run_epoch(wm, false)
+        self.run_epoch(self.watermark.current(), false)
     }
 
-    /// Pop the mirror heap up to `wm` and fire the tick schedule with
-    /// the released stream, exactly as the single writer's interleaved
-    /// releases would.
+    /// The tick boundaries an epoch up to `wm` crosses, and whether it
+    /// releases anything.
+    ///
+    /// Boundaries are aligned to `tick_interval` (anchored at the first
+    /// observation's boundary) and a boundary `T` fires after exactly
+    /// the observations with `t <= T` — never after a later fix that
+    /// happened to be released in the same epoch. That makes the whole
+    /// tick/sweep/eviction/publication schedule a pure function of the
+    /// event-time stream: arrival jitter within the watermark delay
+    /// cannot move a sweep relative to the data it sees.
     fn due_boundaries(&mut self, wm: Timestamp, draining: bool) -> (Vec<Timestamp>, bool) {
-        let mut any_released = false;
         let mut boundaries = Vec::new();
-        while self.pending_ts.peek().is_some_and(|r| r.0 <= wm) {
-            let Reverse(t) = self.pending_ts.pop().expect("peeked");
-            any_released = true;
-            while let Some(b) = self.ticks.before_observation(t) {
-                boundaries.push(b);
+        // Boundaries strictly before a released observation fire before
+        // it. The schedule only needs the two ends of the released
+        // span: the earliest anchors the grid, and every boundary
+        // before any released observation is before the latest.
+        let span = self
+            .lanes
+            .iter()
+            .filter_map(|lane| lane.reorder.span_until(wm))
+            .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
+        if let Some((first, last)) = span {
+            for t in [first, last] {
+                while let Some(b) = self.ticks.before_observation(t) {
+                    boundaries.push(b);
+                }
             }
         }
+        // Boundaries up to the aligned watermark: no more data at or
+        // before them can ever be accepted, so they are complete.
         while let Some(b) = self.ticks.at_watermark(wm) {
             boundaries.push(b);
         }
         // End-of-stream: one trailing sweep at the final (unaligned)
-        // watermark, like the single writer's drain.
-        if draining
-            && self.ticks.anchored()
-            && wm > self.ticks.last_boundary()
-            && boundaries.last() != Some(&wm)
-        {
+        // watermark.
+        if draining && self.ticks.anchored() && wm > self.ticks.last_boundary() {
             boundaries.push(wm);
         }
-        (boundaries, any_released)
+        (boundaries, span.is_some())
     }
 
     /// Frontier-clocked knob commit at the epoch start, before any
-    /// lane runs. The single writer's `commit_control`, on the epoch
-    /// schedule: epochs fire every `ingest_batch` arrivals — a
-    /// writer-count-invariant schedule — and the arrival frontier,
-    /// the hot backlog and the emitted count at an epoch start are
-    /// all pure functions of the event-time stream, so the committed
-    /// trajectory is identical at any writer count. Clocking commits
-    /// off the watermark instead would self-throttle: widening the
-    /// delay by Δ stalls the watermark (and the leader's next
-    /// boundary) for exactly Δ of frontier time, blacking out control
-    /// precisely while lateness is ramping.
+    /// lane runs: absorb the arrival window and retune once per aligned
+    /// `tick_interval` boundary *of the arrival frontier*. The frontier
+    /// — not the watermark — is the controller's clock: a
+    /// watermark-clocked commit schedule self-throttles, because
+    /// widening the delay by Δ stalls the watermark (and with it the
+    /// next watermark-aligned boundary) for exactly Δ of frontier time,
+    /// blacking out control precisely while lateness is ramping. The
+    /// frontier never stalls; epochs fire every `ingest_batch` arrivals
+    /// — a writer-count-invariant schedule — and every input (absorbed
+    /// observations, hot backlog, events emitted) is a pure function of
+    /// the event-time stream, so the committed trajectory is identical
+    /// at any writer count.
     fn commit_control(&mut self) {
-        let Some(window) = self.arrivals.as_mut() else {
+        let Some((window, ctl)) = &mut self.adaptive else {
             return;
         };
         let Some(frontier) = self.watermark.frontier() else {
             return;
         };
-        let tick = self.config.tick_interval.max(1);
+        let tick = self.ctx.config.tick_interval.max(1);
         let aligned = Timestamp(frontier.millis().div_euclid(tick) * tick);
         if aligned <= self.last_control_commit {
             return;
         }
-        let knobs = {
-            let mut s = lock(&self.shared);
-            let emitted = s.emitted;
-            let Some(ctl) = s.control.as_mut() else {
-                return;
-            };
-            ctl.absorb(window);
-            let knobs = ctl.commit(aligned, self.store.hot_len() as u64, emitted);
-            s.seals.set_every(knobs.seal_every);
-            knobs
-        };
         self.last_control_commit = aligned;
-        self.query.set_event_capacity(knobs.ring_capacity);
-        // The delay knob is applied here, on the router thread — the
-        // watermark's owner. The watermark floor keeps it monotone
-        // even when the delay contracts.
+        ctl.absorb(window);
+        let shared = state(&mut self.shared);
+        let knobs = ctl.commit(aligned, self.ctx.store.hot_len() as u64, shared.emitted);
+        // The watermark floor keeps it monotone even when the delay
+        // contracts; aligned seal cuts stay monotone across retunes.
         self.watermark.set_max_delay(knobs.delay);
+        shared.seals.set_every(knobs.seal_every);
+        self.ctx.query.set_event_capacity(knobs.ring_capacity);
+        self.report.record_control(ctl.gauges(), knobs);
     }
 
+    /// Run one epoch to the watermark `wm` and return the events it
+    /// finalised.
     fn run_epoch(&mut self, wm: Timestamp, draining: bool) -> Vec<MaritimeEvent> {
         self.commit_control();
         let (boundaries, any_released) = self.due_boundaries(wm, draining);
@@ -645,19 +790,20 @@ impl MultiWriterPipeline {
             self.released_frontier = self.released_frontier.max(wm);
             return Vec::new();
         }
-        {
-            let mut s = lock(&self.shared);
-            s.has_readers = Arc::strong_count(&self.query) > 1;
-        }
-        let shared = &self.shared;
-        let store = &self.store;
-        let durable = self.durable.as_deref();
-        let query: &QueryShared = &self.query;
-        let config = &self.config;
-        let total_shards = self.total_shards;
+        let ctx = &self.ctx;
+        // Handles are created through `&mut self`, so the count cannot
+        // change mid-epoch.
+        let has_readers = Arc::strong_count(&ctx.query) > 1;
+        // The predictor is rebuilt every `cadence` publications — every
+        // one while `finish` drains, so the final stamps carry route
+        // state exactly as of each stamp.
+        let cadence = if draining { 1 } else { ctx.config.query.predictor_refresh_ticks.max(1) };
         let inject = self.inject;
+        // A lone lane owns every engine shard: its leader section reads
+        // the live indexes in place instead of cloning them around.
+        let lone = self.lanes.len() == 1;
         let boundaries = &boundaries[..];
-        run_lanes(&mut self.lanes, move |w, lane, barrier| {
+        run_lanes(&mut self.lanes, &mut self.shared, move |w, lane, mut shared| {
             let released = {
                 let _t = StageTimer::new(&mut lane.metrics.reorder);
                 lane.reorder.release(wm)
@@ -665,187 +811,126 @@ impl MultiWriterPipeline {
             let mut cursor = 0usize;
             for &b in boundaries {
                 let end = cursor + released[cursor..].partition_point(|(t, _)| *t <= b);
-                process_interval(lane, &released[cursor..end], shared, durable, config);
+                lane.process_interval(&released[cursor..end], ctx);
                 cursor = end;
-                {
-                    let mut s = lock(shared);
-                    for (shard, idx) in lane.engine.index_clones() {
-                        s.scratch.indexes[shard] = Some(idx);
-                    }
-                }
                 lane.boundaries_crossed += 1;
                 if inject == Some((w, lane.boundaries_crossed)) {
                     panic!("injected lane fault");
                 }
-                // Phase 1: the leader merges interval events and builds
-                // the fleet view while every other lane stays parked.
-                if barrier.wait() == LaneRole::Leader {
-                    let mut s = lock(shared);
-                    let events = merge_deposits(&mut s.scratch.batch_events);
-                    s.emit(events, query);
-                    let indexes: Vec<LiveIndex> = (0..total_shards)
-                        .map(|shard| s.scratch.indexes[shard].take().unwrap_or_default())
-                        .collect();
-                    s.scratch.fleet = Some(Arc::new(FleetIndex::snapshot(&indexes)));
-                    s.scratch.publish = s.has_readers && b > s.last_published;
-                    s.scratch.want_route = false;
-                    if s.scratch.publish {
-                        s.ticks_since_refresh += 1;
-                        let cadence = config.query.predictor_refresh_ticks.max(1);
-                        if s.draining || s.ticks_since_refresh >= cadence {
-                            s.scratch.want_route = true;
-                            s.ticks_since_refresh = 0;
-                        }
-                    }
-                    drop(s);
-                    barrier.release();
-                }
-                let (fleet, want_route) = {
-                    let s = lock(shared);
-                    let fleet = Arc::clone(s.scratch.fleet.as_ref().expect("leader built fleet"));
-                    (fleet, s.scratch.want_route)
-                };
+                // Phase 1: the leader merges interval events, builds
+                // the fleet view and plans the publication.
+                let engine = &lane.engine;
+                let mut indexes: Vec<LiveIndex> =
+                    if lone { Vec::new() } else { engine.indexes().cloned().collect() };
+                shared.cross(
+                    |s| {
+                        s.events.append(&mut lane.events);
+                        s.indexes.append(&mut indexes);
+                    },
+                    |s| {
+                        s.emit_deposits(&ctx.query);
+                        s.fleet = Arc::new(if lone {
+                            FleetIndex::snapshot(engine.indexes())
+                        } else {
+                            FleetIndex::snapshot(&s.indexes)
+                        });
+                        s.indexes.clear();
+                        s.plan_publication(b, has_readers, cadence);
+                    },
+                );
+                let (fleet, want_route) = shared.with(|s| (Arc::clone(&s.fleet), s.want_route));
                 let (per_shard, gone) = {
                     let _t = StageTimer::new(&mut lane.metrics.events);
                     lane.engine.sweep(b, &fleet)
                 };
-                // Dead vessels must not pin lane compressors (the
-                // single writer's `drop_evicted_state`).
+                // Dead vessels must not pin lane-side per-vessel state.
+                // (A fresh compressor simply keeps a returning vessel's
+                // next fix.)
                 for id in &gone {
                     lane.compressors.remove(id);
                 }
-                {
-                    let mut s = lock(shared);
-                    for (shard, events) in per_shard {
-                        s.scratch.tick_events[shard] = events;
-                    }
-                    s.scratch.gone[w] = gone;
-                    s.scratch.live_counts[w] = lane.engine.live_count();
-                    if want_route {
-                        s.scratch.route_parts[w] = Some(lane.route_part.clone());
-                    }
+                if let Some(console) = &mut lane.console {
+                    console.evict(&gone);
                 }
-                // Phase 2: the leader merges sweep results, seals and
-                // publishes the stamp `b`, all lanes parked.
-                if barrier.wait() == LaneRole::Leader {
-                    let mut s = lock(shared);
-                    let events = merge_deposits(&mut s.scratch.tick_events);
-                    s.emit(events, query);
-                    let mut union = HashSet::new();
-                    let mut total_gone = 0usize;
-                    for g in s.scratch.gone.iter_mut() {
-                        total_gone += g.len();
-                        union.extend(g.drain(..));
-                    }
-                    s.evicted += total_gone as u64;
-                    s.scratch.gone_all = Arc::new(union);
-                    s.live = s.scratch.live_counts.iter().sum::<usize>() as u64;
-                    if let Some(cut) = s.seals.due(b) {
-                        // Durable seals persist the segments and rotate
-                        // the WAL; every other lane is parked at the
-                        // barrier, so the store is append-quiescent.
-                        match durable {
-                            Some(d) => {
-                                d.seal_before(cut).expect("persist seal sweep");
-                            }
-                            None => {
-                                store.seal_before(cut);
-                            }
-                        }
-                        s.seal_sweeps += 1;
-                    }
-                    // Record the durability boundary whether or not a
-                    // snapshot is published: every lane has processed
-                    // (and logged) exactly its data with `t <= b`.
-                    if let Some(d) = durable {
-                        d.mark(b).expect("record durability mark");
-                    }
-                    if s.scratch.publish {
-                        s.last_published = b;
-                        if s.scratch.want_route {
-                            let mut net = RouteNetwork::new(config.bounds, config.model_cell_deg);
-                            for part in s.scratch.route_parts.iter_mut() {
-                                if let Some(part) = part.take() {
-                                    net.merge_from(&part);
-                                }
-                            }
-                            s.published_route = Arc::new(RouteNetPredictor::new(net));
-                        }
-                        let snap = store.snapshot(Some(&s.store_snapshot));
-                        s.store_snapshot = snap.clone();
-                        let snapshot = SystemSnapshot::new(
-                            b,
-                            snap,
-                            Arc::clone(&s.published_route),
-                            s.live,
-                            s.emitted,
-                        );
-                        query.publish(snapshot);
-                    }
-                    drop(s);
-                    barrier.release();
-                }
-                let gone_all = Arc::clone(&lock(shared).scratch.gone_all);
+                // Phase 2: the leader merges sweep results, seals,
+                // marks and publishes the stamp `b`.
+                let live = lane.engine.live_count();
+                let route_part = want_route.then(|| lane.route_part.clone());
+                shared.cross(
+                    |s| {
+                        s.events.extend(per_shard.into_iter().flat_map(|(_, events)| events));
+                        s.gone.extend(gone);
+                        s.live_deposit += live;
+                        s.route_parts.extend(route_part);
+                    },
+                    |s| s.close_boundary(b, ctx),
+                );
+                let gone_all = shared.with(|s| Arc::clone(&s.gone_all));
                 lane.engine.evict_pairs(&gone_all);
                 lane.fuser.sweep(b);
             }
             // Tail interval: released data past the last boundary.
-            process_interval(lane, &released[cursor..], shared, durable, config);
-            if barrier.wait() == LaneRole::Leader {
-                let mut s = lock(shared);
-                let events = merge_deposits(&mut s.scratch.batch_events);
-                s.emit(events, query);
-                drop(s);
-                barrier.release();
-            }
+            lane.process_interval(&released[cursor..], ctx);
+            shared.cross(|s| s.events.append(&mut lane.events), |s| s.emit_deposits(&ctx.query));
         });
         self.released_frontier = self.released_frontier.max(wm);
-        std::mem::take(&mut lock(&self.shared).out)
+
+        // Fold the epoch into the router-side report.
+        let shared = state(&mut self.shared);
+        let out = std::mem::take(&mut shared.out);
+        self.report.events_emitted = shared.emitted;
+        self.report.evicted_vessels = shared.evicted;
+        self.report.live_vessels = shared.live;
+        let sealed = self.report.seal_sweeps != shared.seal_sweeps;
+        self.report.seal_sweeps = shared.seal_sweeps;
+        for lane in &mut self.lanes {
+            let m = std::mem::take(&mut lane.metrics);
+            self.report.reorder.absorb(&m.reorder);
+            self.report.fusion.absorb(&m.fusion);
+            self.report.events.absorb(&m.events);
+            self.report.synopses.absorb(&m.synopses);
+            self.report.analytics.absorb(&m.analytics);
+            self.report.storage.absorb(&m.storage);
+        }
+        for e in &out {
+            self.report.count_detector(e.kind.label());
+        }
+        if sealed || draining {
+            let stats = self.tier_stats();
+            self.report.record_tiers(&stats);
+        }
+        out
     }
 
     /// Publish a catch-up snapshot at `wm` from the router thread
-    /// (lanes idle): the single writer's off-grid `publish`, with the
-    /// lane route slices merged inline.
-    fn publish_inline(&mut self, wm: Timestamp) {
-        if Arc::strong_count(&self.query) == 1 {
-            return;
-        }
-        let mut s = lock(&self.shared);
-        if wm <= s.last_published {
-            return;
-        }
-        s.last_published = wm;
-        s.ticks_since_refresh += 1;
-        let cadence = self.config.query.predictor_refresh_ticks.max(1);
-        if s.draining || s.ticks_since_refresh >= cadence {
-            let mut net = RouteNetwork::new(self.config.bounds, self.config.model_cell_deg);
-            for lane in &self.lanes {
-                net.merge_from(&lane.route_part);
-            }
-            s.published_route = Arc::new(RouteNetPredictor::new(net));
-            s.ticks_since_refresh = 0;
-        }
-        let snap = self.store.snapshot(Some(&s.store_snapshot));
-        s.store_snapshot = snap.clone();
-        let snapshot =
-            SystemSnapshot::new(wm, snap, Arc::clone(&s.published_route), s.live, s.emitted);
-        self.query.publish(snapshot);
+    /// (lanes idle), off the tick grid.
+    fn publish_catch_up(&mut self, wm: Timestamp, cadence: u32) {
+        let has_readers = Arc::strong_count(&self.ctx.query) > 1;
+        let shared = state(&mut self.shared);
+        shared.plan_publication(wm, has_readers, cadence);
+        shared.publish(wm, self.lanes.iter().map(|lane| lane.route_part.clone()), &self.ctx);
     }
 
     /// Drain everything buffered (end of stream); returns the remaining
-    /// events. Terminal like the single writer's `finish`: later
-    /// arrivals are dropped as late.
+    /// events.
+    ///
+    /// `finish` is terminal for the data plane: it releases the reorder
+    /// buffers completely, so observations pushed afterwards are
+    /// dropped as late (counted in `dropped_late`) — they can no longer
+    /// be emitted in order. The published serving stamp runs ahead of
+    /// the tick grid to the final watermark and never regresses.
     pub fn finish(&mut self) -> Vec<MaritimeEvent> {
+        // `now` is the maximum event time seen (watermark + delay):
+        // independent of arrival order, so the final sweeps are too.
         // The *current* delay, not the configured one — adaptive
         // control may have retuned it.
         let now = self.watermark.current().saturating_add(self.watermark.max_delay());
         self.drop_frontier = Timestamp::MAX;
-        lock(&self.shared).draining = true;
-        let events = self.run_epoch(now, true);
-        // End-of-stream publication (dedupes against a trailing tick).
-        self.publish_inline(now);
-        lock(&self.shared).draining = false;
         self.arrivals_since_flush = 0;
+        let events = self.run_epoch(now, true);
+        // End-of-stream publication (a trailing tick that already
+        // published this stamp makes it a no-op).
+        self.publish_catch_up(now, 1);
         events
     }
 
@@ -876,168 +961,103 @@ impl MultiWriterPipeline {
         events
     }
 
-    /// A cloneable, thread-safe read front-end over this pipeline —
-    /// same contract as the single writer's `query_service`. A new
-    /// handle is caught up to the released frontier (the stamp at
-    /// which every accepted observation has been processed).
+    // ---- accessors for decision support, experiments and examples ----
+
+    /// A cloneable, thread-safe read front-end over this pipeline.
+    ///
+    /// Hand clones to as many reader threads as you like: they serve
+    /// point/window/kNN/predictive queries and event subscriptions
+    /// against consistent watermark-stamped snapshots, published at
+    /// every tick boundary, while this pipeline keeps ingesting. See
+    /// [`QueryService`] for the vocabulary and the isolation contract.
+    ///
+    /// Publication is skipped while no handle exists (write-only
+    /// pipelines pay nothing), so a new handle is caught up to the
+    /// released frontier — the stamp at which every accepted
+    /// observation has been processed, content-correct even off the
+    /// tick grid.
     pub fn query_service(&mut self) -> QueryService {
-        let service = QueryService::new(Arc::clone(&self.query));
-        self.publish_inline(self.released_frontier);
+        let service = QueryService::new(Arc::clone(&self.ctx.query));
+        let cadence = self.ctx.config.query.predictor_refresh_ticks.max(1);
+        self.publish_catch_up(self.released_frontier, cadence);
         service
     }
 
-    /// Aggregate report: router counters plus shared gauges plus the
-    /// per-lane stage timings summed across lanes. Counters and gauges
-    /// are writer-count invariant; timing sums are not (they add busy
-    /// time across lanes).
+    /// Per-stage metrics: router counters, gauges and lane timings as
+    /// of the last epoch, tier counters fresh from the store. Counters
+    /// and gauges are writer-count invariant; timing sums are not (they
+    /// add busy time across lanes).
     pub fn report(&self) -> PipelineReport {
         let mut r = self.report.clone();
-        {
-            let s = lock(&self.shared);
-            r.events_emitted = s.emitted;
-            r.evicted_vessels = s.evicted;
-            r.live_vessels = s.live;
-            r.seal_sweeps = s.seal_sweeps;
-            r.record_detectors(&s.detector_counts);
-            if let Some(ctl) = &s.control {
-                r.record_control(ctl.gauges(), ctl.knobs());
-            }
-        }
-        let stats = match &self.durable {
-            Some(d) => d.tier_stats(),
-            None => self.store.tier_stats(),
-        };
-        r.record_tiers(&stats);
-        for lane in &self.lanes {
-            r.reorder.absorb(&lane.metrics.reorder);
-            r.fusion.absorb(&lane.metrics.fusion);
-            r.events.absorb(&lane.metrics.events);
-            r.synopses.absorb(&lane.metrics.synopses);
-            r.analytics.absorb(&lane.metrics.analytics);
-            r.storage.absorb(&lane.metrics.storage);
-        }
+        r.record_tiers(&self.tier_stats());
         r
+    }
+
+    /// The archival (synopsis) store (shared with all lane handles).
+    pub fn store(&self) -> &SharedTrajectoryStore {
+        &self.ctx.store
+    }
+
+    /// Per-tier archive accounting: hot/cold fix counts, approximate
+    /// bytes and segment count, fresh from the store. With durability
+    /// configured, `disk_bytes` reports the real on-disk footprint
+    /// (segment files + WAL + manifest); otherwise it is zero.
+    pub fn tier_stats(&self) -> mda_store::TierStats {
+        match &self.ctx.durable {
+            Some(d) => d.tier_stats(),
+            None => self.ctx.store.tier_stats(),
+        }
+    }
+
+    /// The durable backing store, when durability is configured — for
+    /// inspecting the [`mda_store::RecoveryReport`] or the durable
+    /// watermark.
+    pub fn durable(&self) -> Option<&DurableStore> {
+        self.ctx.durable.as_deref()
+    }
+
+    /// Bulk-load historical fixes into the archive with `workers` ingest
+    /// threads routed shard-affine: each worker exclusively owns a set
+    /// of store shards, so workers never contend on a shard lock. Fixes
+    /// bypass the streaming stages (no compression, events or model
+    /// learning) — this is the archive backfill path. Per-vessel input
+    /// order is preserved. Returns the number of fixes loaded.
+    pub fn backfill_archive(&self, fixes: Vec<Fix>, workers: usize) -> usize {
+        let n = fixes.len();
+        let store = &self.ctx.store;
+        mda_stream::runner::run_shard_affine(
+            fixes,
+            workers.max(1),
+            store.shard_count(),
+            |f: &Fix| store.shard_of(f.id),
+            || {
+                let store = store.clone();
+                let durable = self.ctx.durable.clone();
+                move |batch: Vec<Fix>| {
+                    if let Some(d) = &durable {
+                        d.log_batch(&batch).expect("write-ahead-log backfill batch");
+                    }
+                    store.append_batch(batch);
+                    Vec::<()>::new()
+                }
+            },
+        );
+        n
+    }
+
+    /// Current event-time watermark.
+    pub fn watermark(&self) -> Timestamp {
+        self.watermark.current()
     }
 
     /// The adaptive controller's committed knob trajectory —
     /// `(boundary, knobs)` per commit, in boundary order. Empty for a
     /// pipeline running static knobs. Identical arrival streams produce
-    /// identical traces at any writer count: every controller input is
-    /// a writer-count-invariant function of the event-time stream.
+    /// identical traces at any writer count and under any arrival
+    /// jitter within the watermark delay: every controller input is a
+    /// writer-count-invariant function of the event-time stream.
     pub fn control_trace(&self) -> Vec<(Timestamp, Knobs)> {
-        lock(&self.shared).control.as_ref().map_or_else(Vec::new, |c| c.trace().to_vec())
-    }
-}
-
-/// Process one lane's released items up to a boundary: fuse, recognise,
-/// compress, archive, learn — the single writer's `process_released` +
-/// `process_fix_batch` restricted to the lane's shards. Per-shard
-/// detector events are deposited into the epoch scratch.
-fn process_interval(
-    lane: &mut WriterLane,
-    items: &[(Timestamp, LaneItem)],
-    shared: &Mutex<SharedState>,
-    durable: Option<&DurableStore>,
-    config: &PipelineConfig,
-) {
-    let mut batch: Vec<Fix> = Vec::new();
-    for (_, item) in items {
-        match item {
-            LaneItem::Ais(fix) => batch.push(*fix),
-            LaneItem::Radar(plot) => {
-                flush_fix_batch(lane, &mut batch, shared, durable, config);
-                let _t = StageTimer::new(&mut lane.metrics.fusion);
-                lane.fuser.ingest(&SensorReport {
-                    kind: SensorKind::Radar,
-                    t: plot.t,
-                    pos: plot.pos,
-                    claimed_id: None,
-                    sog_kn: None,
-                    cog_deg: None,
-                    accuracy_m: None,
-                });
-            }
-            LaneItem::Vms(v) => {
-                flush_fix_batch(lane, &mut batch, shared, durable, config);
-                let _t = StageTimer::new(&mut lane.metrics.fusion);
-                lane.fuser.ingest(&SensorReport {
-                    kind: SensorKind::Vms,
-                    t: v.t,
-                    pos: v.pos,
-                    claimed_id: Some(v.id),
-                    sog_kn: None,
-                    cog_deg: None,
-                    accuracy_m: None,
-                });
-            }
-        }
-    }
-    flush_fix_batch(lane, &mut batch, shared, durable, config);
-}
-
-/// One canonical fix batch through a lane's stages.
-fn flush_fix_batch(
-    lane: &mut WriterLane,
-    batch: &mut Vec<Fix>,
-    shared: &Mutex<SharedState>,
-    durable: Option<&DurableStore>,
-    config: &PipelineConfig,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let mut fixes = std::mem::take(batch);
-    // Same canonical content order as the single writer's batches: a
-    // lane subset sorted by the same total order yields the same
-    // per-shard subsequences a global sort would.
-    canonical_sort(&mut fixes);
-    {
-        let _t = StageTimer::new(&mut lane.metrics.fusion);
-        for fix in &fixes {
-            lane.fuser.ingest(&SensorReport::from_fix(SensorKind::AisTerrestrial, fix));
-        }
-    }
-    let per_shard = {
-        let _t = StageTimer::new(&mut lane.metrics.events);
-        lane.engine.observe_sorted(&fixes)
-    };
-    let mut kept_batch: Vec<Fix> = Vec::new();
-    for fix in fixes {
-        let kept = {
-            let _t = StageTimer::new(&mut lane.metrics.synopses);
-            lane.compressors
-                .entry(fix.id)
-                .or_insert_with(|| ThresholdCompressor::new(config.synopsis))
-                .observe(fix)
-        };
-        {
-            let _t = StageTimer::new(&mut lane.metrics.analytics);
-            lane.route_part.learn(&fix);
-        }
-        if let Some(kept) = kept {
-            kept_batch.push(kept);
-        }
-    }
-    // Batched store append: one writer-lock acquisition per touched
-    // shard and one amortised per-vessel merge, instead of a per-fix
-    // lock + sorted insert.
-    if !kept_batch.is_empty() {
-        let _t = StageTimer::new(&mut lane.metrics.storage);
-        lane.store.append_batch(kept_batch.iter().copied());
-    }
-    // One WAL record per lane batch, before the lane reaches the next
-    // barrier: the leader's mark for any boundary covering these fixes
-    // fires behind that barrier, so the log never trails a durable
-    // mark. (The WAL writer serializes concurrent lanes internally.)
-    if let Some(d) = durable {
-        let _t = StageTimer::new(&mut lane.metrics.storage);
-        d.log_batch(&kept_batch).expect("write-ahead-log lane batch");
-    }
-    if per_shard.iter().any(|(_, events)| !events.is_empty()) {
-        let mut s = lock(shared);
-        for (shard, events) in per_shard {
-            s.scratch.batch_events[shard].extend(events);
-        }
+        self.adaptive.as_ref().map_or_else(Vec::new, |(_, ctl)| ctl.trace().to_vec())
     }
 }
 
@@ -1130,7 +1150,7 @@ mod tests {
     fn late_arrivals_drop_like_the_single_writer() {
         let mut p =
             MultiWriterPipeline::new(PipelineConfig::regional(bounds()), 2).with_ingest_batch(8);
-        let delay = p.config.watermark_delay;
+        let delay = p.ctx.config.watermark_delay;
         for i in 0..60i64 {
             p.push_fix(Fix::new(1, Timestamp::from_mins(i), Position::new(43.0, 5.0), 9.0, 90.0));
         }

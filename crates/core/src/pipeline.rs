@@ -1,884 +1,217 @@
-//! The integrated pipeline: arrival-ordered observations in, event-time
-//! ordered analytics out.
+//! [`MaritimePipeline`]: the single-lane pipeline with the operator
+//! console attached.
+//!
+//! The pipeline loop lives in [`crate::multi`]. `MaritimePipeline` is
+//! that loop fixed at one writer lane and one epoch per arrival — the
+//! lone lane runs inline on the caller's thread, so a push costs no
+//! thread hand-off and returns its finalised events immediately — plus
+//! a console of operator extras that ride along the lane.
 
 use crate::config::PipelineConfig;
-use crate::query::{QueryService, QueryShared, SystemSnapshot};
-use crate::report::{PipelineReport, StageTimer};
-use mda_ais::messages::AisMessage;
-use mda_ais::quality;
-use mda_events::engine::EventEngine;
-use mda_events::event::MaritimeEvent;
+use crate::multi::{MultiWriterPipeline, WriterLane};
+use crate::report::PipelineReport;
+use mda_events::engine::EngineLane;
 use mda_forecast::normalcy::NormalcyModel;
-use mda_forecast::routenet::{RouteNetPredictor, RouteNetwork};
+use mda_forecast::routenet::RouteNetPredictor;
 use mda_geo::{Fix, Position, Timestamp, VesselId};
 use mda_semantics::enrich::Enricher;
 use mda_semantics::store::TripleStore;
-use mda_semantics::term::Interner;
-use mda_sim::receivers::{RadarPlot, VmsReport};
-use mda_sim::scenario::{AisObservation, SimOutput};
+use mda_semantics::term::{Interner, TermId};
 use mda_sim::weather::WeatherField;
 use mda_store::knn::KnnEngine;
-use mda_store::segment::SegmentConfig;
-use mda_store::shards::{StIndexConfig, StoreConfig};
-use mda_store::shared::SharedTrajectoryStore;
-use mda_store::DurableStore;
-use mda_stream::control::{AdaptiveController, ArrivalWindow, Knobs};
-use mda_stream::reorder::ReorderBuffer;
-use mda_stream::watermark::{BoundedOutOfOrderness, SealSchedule, TickSchedule};
-use mda_synopses::compress::ThresholdCompressor;
 use mda_track::fusion::Fuser;
-use mda_track::sensor::{SensorKind, SensorReport};
 use mda_viz::raster::DensityRaster;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
-/// An observation entering the reorder stage.
-#[derive(Debug, Clone)]
-enum StreamItem {
-    Ais(Fix),
-    Radar(RadarPlot),
-    Vms(VmsReport),
-}
-
-/// The integrated maritime pipeline (Figure 2).
-pub struct MaritimePipeline {
-    config: PipelineConfig,
-    watermark: BoundedOutOfOrderness,
-    reorder: ReorderBuffer<StreamItem>,
-    fuser: Fuser,
-    engine: EventEngine,
-    compressors: HashMap<VesselId, ThresholdCompressor>,
-    store: SharedTrajectoryStore,
+/// The operator console's extras: pictures and models that no serving
+/// answer depends on, fed by the lane with every canonical fix batch
+/// and the fixes its synopsis kept.
+pub(crate) struct Console {
+    raster: DensityRaster,
     knn: KnnEngine,
+    normalcy: NormalcyModel,
     interner: Interner,
     graph: TripleStore,
     enricher: Enricher,
-    vessel_terms: HashMap<VesselId, mda_semantics::term::TermId>,
+    vessel_terms: HashMap<VesselId, TermId>,
     weather: Option<WeatherField>,
-    route_net: RouteNetwork,
-    normalcy: NormalcyModel,
-    raster: DensityRaster,
-    report: PipelineReport,
-    ticks: TickSchedule,
-    seals: SealSchedule,
-    /// Serving-layer state shared with every [`QueryService`] handle.
-    query: Arc<QueryShared>,
-    /// Cache of the last published store snapshot: `snapshot(Some(prev))`
-    /// re-clones only shards whose version moved since.
-    store_snapshot: mda_store::StoreSnapshot,
-    /// The route-network predictor currently published to readers.
-    published_route: Arc<RouteNetPredictor>,
-    /// Ticks since the published predictor was last rebuilt.
-    ticks_since_refresh: u32,
-    /// Stamp of the last published snapshot: each watermark is
-    /// published at most once, so equal stamps always mean the same
-    /// state (the `Stamped` contract).
-    last_published: Timestamp,
-    /// True while `finish` drains the stream: every publication
-    /// refreshes the predictor, so each final stamp carries the route
-    /// state exactly as of that stamp.
-    draining: bool,
-    /// Durable backing of the archive, when configured: the store
-    /// handle above is this store's in-memory face.
-    durable: Option<Arc<DurableStore>>,
-    /// Event times at or below this were published durable by a
-    /// previous run; re-pushed observations there are dropped as late
-    /// (they are already in the archive, and accepting them would
-    /// break the mark discipline recovery relies on).
-    durable_floor: Timestamp,
-    /// Arrival-side observation window of the adaptive controller
-    /// (`None` when the pipeline runs static knobs).
-    arrivals: Option<ArrivalWindow>,
-    /// The adaptive controller: absorbs the window and commits knob
-    /// moves (watermark delay, seal cadence, event-ring capacity) at
-    /// aligned tick boundaries of the arrival frontier.
-    control: Option<AdaptiveController>,
-    /// The aligned frontier boundary of the last knob commit — the
-    /// gate keeping the commit schedule one-per-boundary.
-    last_control_commit: Timestamp,
 }
 
-impl MaritimePipeline {
-    /// Build a pipeline from configuration. Zones for the event engine
-    /// and the enricher come from `config.events.zones`.
-    ///
-    /// With [`PipelineConfig::durability`] set, the archive opens (or
-    /// recovers) a [`DurableStore`] in the configured directory: a
-    /// directory holding a previous run restores its cold segments,
-    /// hot tier and published watermark before any new observation is
-    /// accepted, and the first published stamp continues monotonically
-    /// from the recovered one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the durable data directory cannot be opened or
-    /// recovered (I/O error or corrupt manifest) — a pipeline asked
-    /// for durability must not silently run without it.
-    pub fn new(config: PipelineConfig) -> Self {
+impl Console {
+    fn new(config: &PipelineConfig) -> Self {
         let mut interner = Interner::new();
-        let enrich_zones =
-            config.events.zones.iter().map(|z| (z.name.clone(), z.area.clone())).collect();
-        let enricher = Enricher::new(&mut interner, enrich_zones);
+        let zones = config.events.zones.iter().map(|z| (z.name.clone(), z.area.clone())).collect();
+        let enricher = Enricher::new(&mut interner, zones);
         let (rows, cols) = config.raster_shape;
-        // The retention policy owns the live-state TTL so the detector
-        // layer and the pipeline's own per-vessel maps (compressors,
-        // term cache) evict together — but an explicitly customised
-        // `events.vessel_ttl` wins over the retention default rather
-        // than being silently discarded.
-        let default_ttl = mda_events::engine::EngineConfig::default().vessel_ttl;
-        let vessel_ttl = if config.events.vessel_ttl == default_ttl {
-            config.retention.detector_ttl
-        } else {
-            config.events.vessel_ttl
-        };
-        let events_config =
-            mda_events::engine::EngineConfig { vessel_ttl, ..config.events.clone() };
-        // The archive is lock-striped by vessel hash; its per-shard
-        // grid index is maintained at ingest time so window queries
-        // never rebuild anything. Fixes older than the retention
-        // hot horizon are sealed into compressed cold segments as
-        // the watermark advances.
-        let store_config = StoreConfig {
-            shards: config.store_shards,
-            st_index: Some(StIndexConfig {
-                bounds: config.bounds,
-                cell_deg: 0.1,
-                slice: 30 * mda_geo::time::MINUTE,
-            }),
-            knn: None,
-            seal: SegmentConfig {
-                tolerance_m: config.retention.cold_tolerance_m,
-                max_silence: config.synopsis.max_silence,
-                ..SegmentConfig::default()
-            },
-        };
-        // With durability configured the durable store owns the data
-        // directory (recovering a previous run's archive if present)
-        // and the pipeline holds its in-memory face; without it the
-        // store is purely in memory, exactly as before.
-        let (store, durable) = match &config.durability {
-            Some(d) => {
-                let durable = DurableStore::open(store_config, d)
-                    .expect("open/recover the durable data directory");
-                (durable.store().clone(), Some(Arc::new(durable)))
-            }
-            None => (SharedTrajectoryStore::with_config(store_config), None),
-        };
-        let durable_floor = durable.as_ref().map_or(Timestamp::MIN, |d| d.watermark());
-        // Adaptive control: the static knobs become the initial values
-        // (clamped into the configured bounds); the controller commits
-        // moves only at aligned tick boundaries, so the knob trajectory
-        // is a pure function of the event-time stream.
-        let (arrivals, control) = match config.adaptive {
-            Some(ctl) => {
-                let initial = Knobs {
-                    delay: config.watermark_delay,
-                    seal_every: config.retention.seal_every,
-                    ring_capacity: config.query.event_capacity,
-                };
-                (
-                    Some(ArrivalWindow::new(config.store_shards, ctl.fast_alpha, ctl.slow_alpha)),
-                    Some(AdaptiveController::new(ctl, initial)),
-                )
-            }
-            None => (None, None),
-        };
-        // The knob values actually applied at construction: the static
-        // configuration, clamped by the controller when one is present.
-        let knobs0 = control.as_ref().map_or(
-            Knobs {
-                delay: config.watermark_delay,
-                seal_every: config.retention.seal_every,
-                ring_capacity: config.query.event_capacity,
-            },
-            |c| c.knobs(),
-        );
-        let route_net = RouteNetwork::new(config.bounds, config.model_cell_deg);
-        // The serving layer starts on an empty snapshot; a fresh
-        // pipeline stamps it MIN (the first tick publishes real
-        // state), a recovered one stamps it with the recovered
-        // watermark so reader stamps continue monotonically.
-        let published_route = Arc::new(RouteNetPredictor::new(route_net.clone()));
-        let store_snapshot = store.snapshot(None);
-        let query = Arc::new(QueryShared::new(
-            knobs0.ring_capacity,
-            SystemSnapshot::new(
-                durable_floor,
-                store_snapshot.clone(),
-                Arc::clone(&published_route),
-                0,
-                0,
-            ),
-        ));
+        // The kNN horizon covers the watermark lag plus a coasting
+        // margin, so snapshot queries anywhere in the freshness band
+        // still see the fleet. Under adaptive control the lag can grow
+        // to the delay clamp ceiling, so the horizon covers that.
+        let max_lag = config.adaptive.map_or(config.watermark_delay, |c| c.delay_bounds.1);
         Self {
-            watermark: BoundedOutOfOrderness::new(knobs0.delay),
-            reorder: ReorderBuffer::new(),
-            fuser: Fuser::new(config.fusion),
-            engine: EventEngine::new(events_config),
-            compressors: HashMap::new(),
-            store,
-            // The kNN horizon covers the watermark lag plus a coasting
-            // margin, so snapshot queries anywhere in the freshness band
-            // still see the fleet. Under adaptive control the lag can
-            // grow to the delay clamp ceiling, so the horizon must
-            // cover that worst case.
-            knn: KnnEngine::new(
-                0.05,
-                config.adaptive.map_or(config.watermark_delay, |c| c.delay_bounds.1)
-                    + 15 * mda_geo::time::MINUTE,
-            ),
+            raster: DensityRaster::new(config.bounds, rows, cols),
+            knn: KnnEngine::new(0.05, max_lag + 15 * mda_geo::time::MINUTE),
+            normalcy: NormalcyModel::new(config.bounds, config.model_cell_deg),
             interner,
             graph: TripleStore::new(),
             enricher,
             vessel_terms: HashMap::new(),
             weather: None,
-            route_net,
-            normalcy: NormalcyModel::new(config.bounds, config.model_cell_deg),
-            raster: DensityRaster::new(config.bounds, rows, cols),
-            report: PipelineReport::default(),
-            ticks: TickSchedule::new(config.tick_interval),
-            seals: SealSchedule::new(knobs0.seal_every, config.retention.hot_horizon),
-            query,
-            store_snapshot,
-            published_route,
-            ticks_since_refresh: 0,
-            last_published: durable_floor,
-            draining: false,
-            durable,
-            durable_floor,
-            arrivals,
-            control,
-            last_control_commit: Timestamp::MIN,
-            config,
         }
+    }
+
+    /// Learn one canonical fix batch (raster, live kNN, normalcy).
+    pub(crate) fn learn(&mut self, fixes: &[Fix]) {
+        for fix in fixes {
+            self.raster.add(fix.pos);
+            self.knn.update(*fix);
+            self.normalcy.learn(fix);
+        }
+    }
+
+    /// Enrich the fixes the synopsis kept into the knowledge graph.
+    pub(crate) fn enrich(&mut self, kept: &[Fix]) {
+        for fix in kept {
+            let wind = self.weather.as_ref().map_or(5.0, |w| w.sample(fix.pos, fix.t).wind_mps);
+            let interner = &mut self.interner;
+            let term = *self
+                .vessel_terms
+                .entry(fix.id)
+                .or_insert_with(|| interner.intern(&format!(":vessel/{}", fix.id)));
+            self.enricher.enrich(&mut self.graph, term, fix, wind);
+        }
+    }
+
+    /// Drop the term-cache entries of TTL-evicted vessels.
+    /// (Re-interning a returning vessel yields the same term id.)
+    pub(crate) fn evict(&mut self, gone: &[VesselId]) {
+        for id in gone {
+            self.vessel_terms.remove(id);
+        }
+    }
+}
+
+/// The integrated maritime pipeline (Figure 2) as one `&mut` loop: a
+/// [`MultiWriterPipeline`] at one writer lane, one epoch per arrival,
+/// with the operator console attached.
+///
+/// Everything the loop offers — `push_ais` / `push_fix` / `push_radar`
+/// / `push_vms`, `finish`, `run_scenario`, `query_service`, `store`,
+/// `durable`, `backfill_archive`, … — is reached through `Deref`; this
+/// type adds the console's pictures and the lone lane's state.
+///
+/// ```
+/// use mda_core::{MaritimePipeline, PipelineConfig};
+/// use mda_geo::{BoundingBox, Fix, Position, Timestamp};
+///
+/// let bounds = BoundingBox::new(42.0, 3.0, 44.0, 6.0);
+/// let mut pipeline = MaritimePipeline::new(PipelineConfig::regional(bounds));
+/// let service = pipeline.query_service();
+/// let reader = std::thread::spawn({
+///     let service = service.clone();
+///     move || service.fleet().watermark
+/// });
+/// reader.join().unwrap();
+/// for i in 0..60i64 {
+///     let pos = Position::new(43.0, 5.0 + 0.002 * i as f64);
+///     pipeline.push_fix(Fix::new(1, Timestamp::from_mins(i), pos, 10.0, 90.0));
+/// }
+/// pipeline.finish();
+/// assert_eq!(pipeline.store().vessel_count(), 1);
+/// assert!(service.latest(1).value.is_some());
+/// ```
+pub struct MaritimePipeline {
+    core: MultiWriterPipeline,
+}
+
+impl Deref for MaritimePipeline {
+    type Target = MultiWriterPipeline;
+
+    fn deref(&self) -> &MultiWriterPipeline {
+        &self.core
+    }
+}
+
+impl DerefMut for MaritimePipeline {
+    fn deref_mut(&mut self) -> &mut MultiWriterPipeline {
+        &mut self.core
+    }
+}
+
+impl MaritimePipeline {
+    /// Build a pipeline from configuration. Zones for the event engine
+    /// and the enricher come from `config.events.zones`. Durability and
+    /// panics are those of [`MultiWriterPipeline::new`].
+    pub fn new(config: PipelineConfig) -> Self {
+        let console = Box::new(Console::new(&config));
+        let mut core = MultiWriterPipeline::new(config, 1).with_ingest_batch(1);
+        core.lanes[0].console = Some(console);
+        Self { core }
     }
 
     /// Attach a weather field for enrichment.
     pub fn with_weather(mut self, field: WeatherField) -> Self {
-        self.weather = Some(field);
+        let console = self.core.lanes[0].console.as_deref_mut();
+        console.expect("installed at construction").weather = Some(field);
         self
     }
 
-    /// Push one received AIS observation (arrival order). Returns the
-    /// events whose event time became final.
-    pub fn push_ais(&mut self, obs: &AisObservation) -> Vec<MaritimeEvent> {
-        let _t = StageTimer::new(&mut self.report.ingest);
-        self.report.ais_messages += 1;
-        match &obs.msg {
-            AisMessage::StaticVoyage(sv) => {
-                self.report.static_messages += 1;
-                if !quality::validate_static(sv).is_clean() {
-                    self.report.static_flagged += 1;
-                }
-                drop(_t);
-                Vec::new()
-            }
-            msg => {
-                let Some(fix) = msg.to_fix(obs.t_sent) else {
-                    self.report.invalid_messages += 1;
-                    drop(_t);
-                    return Vec::new();
-                };
-                drop(_t);
-                self.enqueue(fix.t, StreamItem::Ais(fix))
-            }
-        }
+    fn lane(&self) -> &WriterLane {
+        &self.core.lanes[0]
     }
 
-    /// Push one already-decoded AIS position fix (arrival order) — the
-    /// raw-fix ingest path for feeds that bypass AIVDM decoding.
-    /// Returns the events whose event time became final.
-    ///
-    /// ```
-    /// use mda_core::{MaritimePipeline, PipelineConfig};
-    /// use mda_geo::{BoundingBox, Fix, Position, Timestamp};
-    ///
-    /// let bounds = BoundingBox::new(42.0, 3.0, 44.0, 6.0);
-    /// let mut pipeline = MaritimePipeline::new(PipelineConfig::regional(bounds));
-    /// for i in 0..60i64 {
-    ///     let pos = Position::new(43.0, 5.0 + 0.002 * i as f64);
-    ///     pipeline.push_fix(Fix::new(1, Timestamp::from_mins(i), pos, 10.0, 90.0));
-    /// }
-    /// pipeline.finish();
-    /// assert_eq!(pipeline.store().vessel_count(), 1);
-    /// ```
-    pub fn push_fix(&mut self, fix: Fix) -> Vec<MaritimeEvent> {
-        self.enqueue(fix.t, StreamItem::Ais(fix))
+    fn console(&self) -> &Console {
+        self.lane().console.as_deref().expect("installed at construction")
     }
 
-    /// Push a radar plot.
-    pub fn push_radar(&mut self, plot: &RadarPlot) -> Vec<MaritimeEvent> {
-        self.report.radar_plots += 1;
-        self.enqueue(plot.t, StreamItem::Radar(*plot))
-    }
-
-    /// Push a VMS report.
-    pub fn push_vms(&mut self, report: &VmsReport) -> Vec<MaritimeEvent> {
-        self.report.vms_reports += 1;
-        self.enqueue(report.t, StreamItem::Vms(*report))
-    }
-
-    fn enqueue(&mut self, t: Timestamp, item: StreamItem) -> Vec<MaritimeEvent> {
-        // Adaptive control observes every AIS arrival — including ones
-        // about to be dropped as late, since lateness pressure is
-        // exactly the signal — keyed by the *store* shard of the
-        // vessel, which is writer-count invariant. Radar/VMS routing
-        // depends on the writer layout, so those streams are not
-        // observed: the controller's inputs must be a pure function of
-        // the event-time stream.
-        if let (Some(w), StreamItem::Ais(fix)) = (self.arrivals.as_mut(), &item) {
-            w.observe(t, mda_geo::vessel_shard(fix.id, self.config.store_shards));
-        }
-        // Replays of data a previous run already published durable are
-        // late by definition: the recovered archive holds them, and the
-        // WAL mark discipline needs post-recovery appends to stay past
-        // the recovered watermark.
-        if t <= self.durable_floor && self.durable_floor != Timestamp::MIN {
-            self.report.dropped_late += 1;
-            self.watermark.observe(t);
-            return Vec::new();
-        }
-        let wm = {
-            let _t = StageTimer::new(&mut self.report.reorder);
-            if !self.reorder.push(t, item) {
-                self.report.dropped_late += 1;
-            }
-            self.watermark.observe(t)
-        };
-        self.commit_control();
-        let released = {
-            let _t = StageTimer::new(&mut self.report.reorder);
-            self.reorder.release(wm)
-        };
-        let events = self.advance(released, wm);
-        // Finalised events feed the serving layer's bounded ring, so
-        // `poll_since` consumers see them without touching the caller's
-        // return path. (The ring may trail the published snapshot by
-        // one ingest call; cursors make that harmless.)
-        self.query.append_events(&events);
-        // Watermark-driven retention: rotate fixes older than the hot
-        // horizon into sealed cold segments. The schedule quantizes
-        // cuts to aligned boundaries — a pure function of event time,
-        // so identical runs seal identically.
-        if let Some(cut) = self.seals.due(wm) {
-            {
-                let _t = StageTimer::new(&mut self.report.storage);
-                // A durable seal persists the sealed segments and
-                // rotates the WAL in the same sweep; this thread is
-                // the only writer, so the seal sees a quiesced store.
-                match &self.durable {
-                    Some(d) => {
-                        d.seal_before(cut).expect("persist seal sweep");
-                    }
-                    None => {
-                        self.store.seal_before(cut);
-                    }
-                }
-            }
-            self.report.seal_sweeps += 1;
-            let stats = self.tier_stats();
-            self.report.record_tiers(&stats);
-        }
-        events
-    }
-
-    /// Frontier-clocked knob commit: absorb the arrival window and
-    /// retune once per aligned `tick_interval` boundary *of the
-    /// arrival frontier*. The frontier — not the watermark — is the
-    /// controller's clock: a watermark-clocked commit schedule
-    /// self-throttles, because widening the delay by Δ stalls the
-    /// watermark (and with it the next watermark-aligned boundary)
-    /// for exactly Δ of frontier time, blacking out control precisely
-    /// while lateness is ramping. The frontier never stalls, and every
-    /// input (absorbed observations, hot backlog, events emitted) is a
-    /// pure function of the event-time stream, so identical streams
-    /// still retune identically — the multi-writer pipeline commits
-    /// the same function at its epoch starts.
-    fn commit_control(&mut self) {
-        let (Some(window), Some(ctl)) = (self.arrivals.as_mut(), self.control.as_mut()) else {
-            return;
-        };
-        let Some(frontier) = self.watermark.frontier() else {
-            return;
-        };
-        let tick = self.config.tick_interval.max(1);
-        let aligned = Timestamp(frontier.millis().div_euclid(tick) * tick);
-        if aligned <= self.last_control_commit {
-            return;
-        }
-        self.last_control_commit = aligned;
-        ctl.absorb(window);
-        let hot = self.store.hot_len() as u64;
-        let knobs = ctl.commit(aligned, hot, self.report.events_emitted);
-        self.watermark.set_max_delay(knobs.delay);
-        self.seals.set_every(knobs.seal_every);
-        self.query.set_event_capacity(knobs.ring_capacity);
-        self.report.record_control(ctl.gauges(), knobs);
-    }
-
-    /// Advance event time: interleave a watermark release with every
-    /// due live-check tick, **by event time**.
-    ///
-    /// Tick boundaries are aligned to `tick_interval` (anchored at the
-    /// first observation's boundary) and a boundary `T` fires after
-    /// exactly the observations with `t <= T` — never after a later
-    /// fix that happened to be released in the same call. Together
-    /// with the engine's canonical batching this makes the whole
-    /// tick/sweep/eviction schedule a pure function of the event-time
-    /// stream: arrival jitter within the watermark delay cannot move a
-    /// sweep relative to the data it sees.
-    fn advance(
-        &mut self,
-        released: Vec<(Timestamp, StreamItem)>,
-        wm: Timestamp,
-    ) -> Vec<MaritimeEvent> {
-        let mut events = Vec::new();
-        let mut pending: Vec<(Timestamp, StreamItem)> = Vec::new();
-        for (t, item) in released {
-            // Boundaries strictly before this item fire first, each
-            // after the data that precedes it.
-            while let Some(boundary) = self.ticks.before_observation(t) {
-                events.extend(self.process_released(std::mem::take(&mut pending)));
-                events.extend(self.run_tick(boundary));
-            }
-            pending.push((t, item));
-        }
-        events.extend(self.process_released(pending));
-        // Boundaries between the newest released item and the aligned
-        // watermark: no more data at or before them can ever be
-        // accepted, so they are complete and fire now.
-        while let Some(boundary) = self.ticks.at_watermark(wm) {
-            events.extend(self.run_tick(boundary));
-        }
-        events
-    }
-
-    /// One live-check tick at event time `t`: engine sweeps (dark
-    /// vessels, rendezvous/collision, TTL eviction), propagation of
-    /// evictions, track-lifecycle sweep.
-    fn run_tick(&mut self, t: Timestamp) -> Vec<MaritimeEvent> {
-        let events = {
-            let _t = StageTimer::new(&mut self.report.events);
-            self.engine.tick(t)
-        };
-        self.report.events_emitted += events.len() as u64;
-        self.drop_evicted_state();
-        self.fuser.sweep(t);
-        self.report.record_detectors(self.engine.counts());
-        self.report.live_vessels = self.engine.live_vessel_count() as u64;
-        // Record the durability boundary *whether or not* anything is
-        // published: ticks fire after exactly the data with event time
-        // ≤ t, so `t` is a correct mark even for a write-only pipeline
-        // whose publication is skipped below — durability must never
-        // starve because nobody is reading.
-        if let Some(d) = &self.durable {
-            d.mark(t).expect("record durability mark");
-        }
-        // Publish the serving snapshot for this boundary: ticks fire
-        // after exactly the data with event time ≤ t, so the snapshot
-        // a reader sees at watermark t is a pure function of the
-        // event-time stream up to t.
-        self.publish(t);
-        events
-    }
-
-    /// Publish a consistent snapshot at watermark `wm` to every
-    /// [`QueryService`] handle. The store side reuses unchanged shards
-    /// from the previous publication; the route-network predictor is
-    /// rebuilt every `query.predictor_refresh_ticks` ticks (every
-    /// publication while `finish` drains). Each stamp is published at
-    /// most once — equal stamps always mean identical state.
-    fn publish(&mut self, wm: Timestamp) {
-        // Stamps are monotone and unique: a boundary at or behind the
-        // last published stamp (possible when ingest continues after a
-        // `finish`, whose stamp runs ahead of the tick grid) is not
-        // re-published — readers must never observe a regressing or
-        // mutating stamp.
-        if wm <= self.last_published {
-            return;
-        }
-        // A write-only pipeline (no outstanding QueryService handle —
-        // ours is the only reference) skips the publication work
-        // entirely: nobody can observe a snapshot, so cloning changed
-        // hot shards and refreshing the predictor would be pure ingest
-        // tax. The first boundary after a handle appears publishes as
-        // usual. (The event ring is still fed — it is cheap relative
-        // to event rates, and a late subscriber may replay retention.)
-        if Arc::strong_count(&self.query) == 1 {
-            return;
-        }
-        self.last_published = wm;
-        let cadence = self.config.query.predictor_refresh_ticks.max(1);
-        self.ticks_since_refresh += 1;
-        if self.draining || self.ticks_since_refresh >= cadence {
-            self.published_route = Arc::new(RouteNetPredictor::new(self.route_net.clone()));
-            self.ticks_since_refresh = 0;
-        }
-        let snap = self.store.snapshot(Some(&self.store_snapshot));
-        self.store_snapshot = snap.clone();
-        self.query.publish(SystemSnapshot::new(
-            wm,
-            snap,
-            Arc::clone(&self.published_route),
-            self.engine.live_vessel_count() as u64,
-            self.report.events_emitted,
-        ));
-    }
-
-    /// Process a watermark release segment: consecutive AIS fixes are
-    /// grouped into one batch for the sharded event engine (one
-    /// shard-affine run per batch instead of a full dispatch per fix);
-    /// radar/VMS items flush the current batch and go to fusion.
-    fn process_released(&mut self, released: Vec<(Timestamp, StreamItem)>) -> Vec<MaritimeEvent> {
-        let mut events = Vec::new();
-        let mut batch: Vec<Fix> = Vec::new();
-        for (_, item) in released {
-            match item {
-                StreamItem::Ais(fix) => batch.push(fix),
-                StreamItem::Radar(plot) => {
-                    if !batch.is_empty() {
-                        events.extend(self.process_fix_batch(std::mem::take(&mut batch)));
-                    }
-                    let _t = StageTimer::new(&mut self.report.fusion);
-                    self.fuser.ingest(&SensorReport {
-                        kind: SensorKind::Radar,
-                        t: plot.t,
-                        pos: plot.pos,
-                        claimed_id: None,
-                        sog_kn: None,
-                        cog_deg: None,
-                        accuracy_m: None,
-                    });
-                }
-                StreamItem::Vms(v) => {
-                    if !batch.is_empty() {
-                        events.extend(self.process_fix_batch(std::mem::take(&mut batch)));
-                    }
-                    let _t = StageTimer::new(&mut self.report.fusion);
-                    self.fuser.ingest(&SensorReport {
-                        kind: SensorKind::Vms,
-                        t: v.t,
-                        pos: v.pos,
-                        claimed_id: Some(v.id),
-                        sog_kn: None,
-                        cog_deg: None,
-                        accuracy_m: None,
-                    });
-                }
-            }
-        }
-        if !batch.is_empty() {
-            events.extend(self.process_fix_batch(batch));
-        }
-        events
-    }
-
-    fn process_fix_batch(&mut self, mut batch: Vec<Fix>) -> Vec<MaritimeEvent> {
-        // Canonicalise here, not just inside the engine: the synopsis
-        // and archive paths below must also see same-timestamp
-        // duplicates in a content order, or an upstream shuffle within
-        // the watermark delay could change which fix a compressor keeps.
-        mda_events::canonical_sort(&mut batch);
-        // Fusion.
-        {
-            let _t = StageTimer::new(&mut self.report.fusion);
-            for fix in &batch {
-                self.fuser.ingest(&SensorReport::from_fix(SensorKind::AisTerrestrial, fix));
-            }
-        }
-        // Event recognition: one canonical shard-affine run per batch.
-        let events = {
-            let _t = StageTimer::new(&mut self.report.events);
-            self.engine.observe_batch(&batch)
-        };
-        // Synopses → archive, models, enrichment.
-        let mut kept_batch: Vec<Fix> = Vec::new();
-        for fix in batch {
-            let kept = {
-                let _t = StageTimer::new(&mut self.report.synopses);
-                let compressor = self
-                    .compressors
-                    .entry(fix.id)
-                    .or_insert_with(|| ThresholdCompressor::new(self.config.synopsis));
-                compressor.observe(fix)
-            };
-            {
-                let _t = StageTimer::new(&mut self.report.analytics);
-                self.raster.add(fix.pos);
-                self.knn.update(fix);
-                self.route_net.learn(&fix);
-                self.normalcy.learn(&fix);
-            }
-            if let Some(kept) = kept {
-                let _t = StageTimer::new(&mut self.report.storage);
-                kept_batch.push(kept);
-                let wind = self
-                    .weather
-                    .as_ref()
-                    .map(|w| w.sample(kept.pos, kept.t).wind_mps)
-                    .unwrap_or(5.0);
-                let term = match self.vessel_terms.get(&kept.id) {
-                    Some(t) => *t,
-                    None => {
-                        let t = self.interner.intern(&format!(":vessel/{}", kept.id));
-                        self.vessel_terms.insert(kept.id, t);
-                        t
-                    }
-                };
-                self.enricher.enrich(&mut self.graph, term, &kept, wind);
-            }
-        }
-        // One batched archive append (one shard lock + one merge per
-        // touched shard) instead of a per-fix trickle: the batch is
-        // already canonically sorted, so per-vessel order is what the
-        // per-fix appends would have produced, minus the repeated
-        // lookups and any O(n) sort-insert for residual disorder.
-        if !kept_batch.is_empty() {
-            let _t = StageTimer::new(&mut self.report.storage);
-            self.store.append_batch(kept_batch.iter().copied());
-        }
-        // One WAL record per batch, before this call returns: the mark
-        // for any boundary covering these fixes fires strictly later
-        // (in `run_tick`), so the log can never trail a durable mark.
-        if let Some(d) = &self.durable {
-            let _t = StageTimer::new(&mut self.report.storage);
-            d.log_batch(&kept_batch).expect("write-ahead-log fix batch");
-        }
-        self.report.events_emitted += events.len() as u64;
-        events
-    }
-
-    /// Propagate engine TTL evictions into the pipeline's own
-    /// per-vessel maps: dead vessels must not pin compressors or term
-    /// cache entries. (Re-interning a returning vessel yields the same
-    /// term id, and a fresh compressor simply keeps its next fix.)
-    fn drop_evicted_state(&mut self) {
-        let gone = self.engine.take_evicted();
-        if gone.is_empty() {
-            return;
-        }
-        self.report.evicted_vessels += gone.len() as u64;
-        for id in gone {
-            self.compressors.remove(&id);
-            self.vessel_terms.remove(&id);
-        }
-    }
-
-    /// Drain everything buffered (end of stream); returns the remaining
-    /// events.
-    ///
-    /// `finish` is terminal for the data plane: it releases the reorder
-    /// buffer up to `Timestamp::MAX`, so observations pushed afterwards
-    /// are dropped as late (counted in `dropped_late`) — they can no
-    /// longer be emitted in order. The published serving stamp runs
-    /// ahead of the tick grid to the final watermark and never
-    /// regresses.
-    pub fn finish(&mut self) -> Vec<MaritimeEvent> {
-        let remaining = self.reorder.drain_all();
-        // `now` is the maximum event time seen (watermark + delay):
-        // independent of arrival order, so the final sweeps are too.
-        // The *current* delay, not the configured one — adaptive
-        // control may have retuned it.
-        let now = self.watermark.current().saturating_add(self.watermark.max_delay());
-        // Every publication in this drain refreshes the predictor, so
-        // the final stamps carry route state exactly as of each stamp.
-        self.draining = true;
-        let mut events = self.advance(remaining, now);
-        if self.ticks.anchored() && now > self.ticks.last_boundary() {
-            events.extend(self.run_tick(now));
-        }
-        self.report.dropped_late += self.reorder.dropped_late();
-        // Leave the tier counters fresh for whoever reads the report.
-        let stats = self.tier_stats();
-        self.report.record_tiers(&stats);
-        self.query.append_events(&events);
-        // End-of-stream publication; `publish` itself dedupes if the
-        // trailing tick already published this stamp.
-        self.publish(now);
-        self.draining = false;
-        events
-    }
-
-    /// Run a whole simulated scenario (AIS + radar + VMS merged by
-    /// arrival time). Returns all recognised events.
-    pub fn run_scenario(&mut self, sim: &SimOutput) -> Vec<MaritimeEvent> {
-        enum Arrival<'a> {
-            Ais(&'a AisObservation),
-            Radar(&'a RadarPlot),
-            Vms(&'a VmsReport),
-        }
-        let mut merged: Vec<(Timestamp, Arrival)> =
-            Vec::with_capacity(sim.ais.len() + sim.radar.len() + sim.vms.len());
-        merged.extend(sim.ais.iter().map(|o| (o.t_received, Arrival::Ais(o))));
-        merged.extend(sim.radar.iter().map(|p| (p.t, Arrival::Radar(p))));
-        merged.extend(sim.vms.iter().map(|v| (v.t, Arrival::Vms(v))));
-        merged.sort_by_key(|(t, _)| *t);
-
-        let mut events = Vec::new();
-        for (_, item) in merged {
-            match item {
-                Arrival::Ais(o) => events.extend(self.push_ais(o)),
-                Arrival::Radar(p) => events.extend(self.push_radar(p)),
-                Arrival::Vms(v) => events.extend(self.push_vms(v)),
-            }
-        }
-        events.extend(self.finish());
-        events
-    }
-
-    // ---- accessors for decision support, experiments and examples ----
-
-    /// A cloneable, thread-safe read front-end over this pipeline.
-    ///
-    /// Hand clones to as many reader threads as you like: they serve
-    /// point/window/kNN/predictive queries and event subscriptions
-    /// against consistent watermark-stamped snapshots, published at
-    /// every tick boundary, while this pipeline keeps ingesting. See
-    /// [`QueryService`] for the vocabulary and the isolation contract.
-    ///
-    /// ```
-    /// use mda_core::{MaritimePipeline, PipelineConfig};
-    /// use mda_geo::{BoundingBox, Fix, Position, Timestamp};
-    ///
-    /// let bounds = BoundingBox::new(42.0, 3.0, 44.0, 6.0);
-    /// let mut pipeline = MaritimePipeline::new(PipelineConfig::regional(bounds));
-    /// let service = pipeline.query_service();
-    /// let reader = std::thread::spawn({
-    ///     let service = service.clone();
-    ///     move || service.fleet().watermark
-    /// });
-    /// reader.join().unwrap();
-    /// for i in 0..60i64 {
-    ///     let pos = Position::new(43.0, 5.0 + 0.002 * i as f64);
-    ///     pipeline.push_fix(Fix::new(1, Timestamp::from_mins(i), pos, 10.0, 90.0));
-    /// }
-    /// pipeline.finish();
-    /// assert!(service.latest(1).value.is_some());
-    /// ```
-    pub fn query_service(&mut self) -> QueryService {
-        let service = QueryService::new(Arc::clone(&self.query));
-        // Publication is skipped while no handle exists (write-only
-        // pipelines pay nothing), so catch a newly created handle up
-        // to the current frontier: everything released so far has
-        // event time ≤ the watermark, making `wm` a content-correct
-        // stamp even off the tick grid.
-        let wm = self.watermark.current();
-        if wm > self.last_published {
-            self.publish(wm);
-        }
-        service
-    }
-
-    /// Per-stage metrics.
+    /// Per-stage metrics, as of the last push (tier counters as of the
+    /// last seal sweep or `finish`).
     pub fn report(&self) -> &PipelineReport {
-        &self.report
+        &self.core.report
     }
 
     /// The fused track picture.
     pub fn fuser(&self) -> &Fuser {
-        &self.fuser
+        &self.lane().fuser
     }
 
-    /// The event engine (counters, live index).
-    pub fn engine(&self) -> &EventEngine {
-        &self.engine
-    }
-
-    /// The archival (synopsis) store.
-    pub fn store(&self) -> &SharedTrajectoryStore {
-        &self.store
-    }
-
-    /// Per-tier archive accounting: hot/cold fix counts, approximate
-    /// bytes and segment count, fresh from the store. With durability
-    /// configured, `disk_bytes` reports the real on-disk footprint
-    /// (segment files + WAL + manifest); otherwise it is zero.
-    pub fn tier_stats(&self) -> mda_store::TierStats {
-        match &self.durable {
-            Some(d) => d.tier_stats(),
-            None => self.store.tier_stats(),
-        }
-    }
-
-    /// The durable backing store, when durability is configured — for
-    /// inspecting the [`mda_store::RecoveryReport`] or the durable
-    /// watermark.
-    pub fn durable(&self) -> Option<&DurableStore> {
-        self.durable.as_deref()
-    }
-
-    /// Archived fixes inside a spatial window and time range, served by
-    /// the store's incrementally-maintained per-shard grid indexes for
-    /// the hot tier and fence-filtered segment decodes for the cold
-    /// tier.
-    pub fn archive_window(
-        &self,
-        area: &mda_geo::BoundingBox,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<Fix> {
-        self.store.window(area, from, to)
-    }
-
-    /// Bulk-load historical fixes into the archive with `workers` ingest
-    /// threads routed shard-affine: each worker exclusively owns a set
-    /// of store shards, so workers never contend on a shard lock. Fixes
-    /// bypass the streaming stages (no compression, events or model
-    /// learning) — this is the archive backfill path. Per-vessel input
-    /// order is preserved. Returns the number of fixes loaded.
-    pub fn backfill_archive(&self, fixes: Vec<Fix>, workers: usize) -> usize {
-        let n = fixes.len();
-        let shards = self.store.shard_count();
-        mda_stream::runner::run_shard_affine(
-            fixes,
-            workers.max(1),
-            shards,
-            |f: &Fix| self.store.shard_of(f.id),
-            || {
-                let store = self.store.clone();
-                let durable = self.durable.clone();
-                move |batch: Vec<Fix>| {
-                    if let Some(d) = &durable {
-                        d.log_batch(&batch).expect("write-ahead-log backfill batch");
-                    }
-                    store.append_batch(batch);
-                    Vec::<()>::new()
-                }
-            },
-        );
-        n
+    /// The event engine's lane (resident-state counters, live count) —
+    /// here the one lane owning every detector shard.
+    pub fn engine(&self) -> &EngineLane {
+        &self.lane().engine
     }
 
     /// Snapshot kNN over the live fleet.
     pub fn knn(&self, query: Position, t: Timestamp, k: usize) -> Vec<mda_store::knn::KnnResult> {
-        self.knn.knn(query, t, k)
+        self.console().knn.knn(query, t, k)
     }
 
     /// The live knowledge graph and its interner.
     pub fn graph(&self) -> (&TripleStore, &Interner) {
-        (&self.graph, &self.interner)
+        (&self.console().graph, &self.console().interner)
     }
 
     /// A predictor over the route network learned so far.
     pub fn route_predictor(&self) -> RouteNetPredictor {
-        RouteNetPredictor::new(self.route_net.clone())
+        RouteNetPredictor::new(self.lane().route_part.clone())
     }
 
     /// The learned normalcy model.
     pub fn normalcy(&self) -> &NormalcyModel {
-        &self.normalcy
+        &self.console().normalcy
     }
 
     /// The traffic-density raster accumulated so far.
     pub fn raster(&self) -> &DensityRaster {
-        &self.raster
+        &self.console().raster
     }
 
     /// Overall synopsis compression ratio across vessels.
     pub fn compression_ratio(&self) -> f64 {
         // lint:allow(deterministic-iteration): commutative sum over
         // per-vessel counters; the fold result is order-free.
-        let (seen, kept) = self.compressors.values().fold((0u64, 0u64), |(s, k), c| {
+        let (seen, kept) = self.lane().compressors.values().fold((0u64, 0u64), |(s, k), c| {
             let (cs, ck) = c.counts();
             (s + cs, k + ck)
         });
@@ -888,20 +221,6 @@ impl MaritimePipeline {
             1.0 - kept as f64 / seen as f64
         }
     }
-
-    /// Current event-time watermark.
-    pub fn watermark(&self) -> Timestamp {
-        self.watermark.current()
-    }
-
-    /// The adaptive controller's committed knob trajectory —
-    /// `(boundary, knobs)` per commit, in boundary order. Empty for a
-    /// pipeline running static knobs. Two runs over the same event-time
-    /// stream produce identical traces regardless of arrival jitter
-    /// within the watermark delay.
-    pub fn control_trace(&self) -> &[(Timestamp, Knobs)] {
-        self.control.as_ref().map_or(&[], |c| c.trace())
-    }
 }
 
 #[cfg(test)]
@@ -910,7 +229,7 @@ mod tests {
     use mda_events::zone::NamedZone;
     use mda_geo::time::HOUR;
     use mda_geo::BoundingBox;
-    use mda_sim::scenario::{Scenario, ScenarioConfig};
+    use mda_sim::scenario::{Scenario, ScenarioConfig, SimOutput};
 
     fn pipeline_for(sim: &SimOutput) -> MaritimePipeline {
         let mut config = PipelineConfig::regional(sim.world.bounds);
@@ -1030,7 +349,7 @@ mod tests {
             assert!(traj.windows(2).all(|w| w[0].t <= w[1].t));
         }
         // The incrementally-maintained grid serves window queries.
-        let window = p.archive_window(
+        let window = p.store().window(
             &BoundingBox::new(42.0, 3.0, 44.0, 3.5),
             Timestamp::from_mins(0),
             Timestamp::from_mins(5),
@@ -1112,7 +431,7 @@ mod tests {
         // Boundaries strictly increase; every knob stays clamped.
         assert!(trace.windows(2).all(|w| w[0].0 < w[1].0));
         let cfg = ControlConfig::default();
-        for (_, k) in trace {
+        for (_, k) in &trace {
             assert!(cfg.delay_bounds.0 <= k.delay && k.delay <= cfg.delay_bounds.1);
             assert!(cfg.seal_bounds.0 <= k.seal_every && k.seal_every <= cfg.seal_bounds.1);
             assert!(cfg.ring_bounds.0 <= k.ring_capacity && k.ring_capacity <= cfg.ring_bounds.1);

@@ -270,11 +270,10 @@ impl QueryShared {
     }
 }
 
-/// A cloneable, thread-safe read front-end over a running
-/// [`MaritimePipeline`](crate::pipeline::MaritimePipeline).
+/// A cloneable, thread-safe read front-end over a running pipeline.
 ///
 /// Obtain one with
-/// [`MaritimePipeline::query_service`](crate::pipeline::MaritimePipeline::query_service),
+/// [`query_service`](crate::multi::MultiWriterPipeline::query_service),
 /// clone it into as many reader threads as you like, and keep querying
 /// while the pipeline ingests on its own thread. Every answer is
 /// [`Stamped`] with the watermark of the consistent snapshot that

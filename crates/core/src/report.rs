@@ -88,8 +88,7 @@ pub struct PipelineReport {
     pub dropped_late: u64,
     /// Events emitted by the engine.
     pub events_emitted: u64,
-    /// Events by detector label, sorted by label (refreshed from the
-    /// engine's counters at every tick and at `finish`).
+    /// Events by detector label, sorted by label.
     pub detector_counts: Vec<(&'static str, u64)>,
     /// Vessels evicted from live detector state by the TTL sweeps.
     pub evicted_vessels: u64,
@@ -145,11 +144,13 @@ impl PipelineReport {
         .collect()
     }
 
-    /// Refresh the per-detector event counters from the engine.
-    pub fn record_detectors(&mut self, counts: &std::collections::HashMap<&'static str, u64>) {
-        let mut rows: Vec<(&'static str, u64)> = counts.iter().map(|(k, v)| (*k, *v)).collect();
-        rows.sort_unstable();
-        self.detector_counts = rows;
+    /// Count one emitted event under its detector label, keeping the
+    /// table sorted by label.
+    pub fn count_detector(&mut self, label: &'static str) {
+        match self.detector_counts.binary_search_by_key(&label, |(l, _)| *l) {
+            Ok(i) => self.detector_counts[i].1 += 1,
+            Err(i) => self.detector_counts.insert(i, (label, 1)),
+        }
     }
 
     /// Rows for the per-detector table: `(label, events)`, sorted by
@@ -251,11 +252,10 @@ mod tests {
     #[test]
     fn detector_rows_sorted_by_label() {
         let mut r = PipelineReport::default();
-        let mut counts = std::collections::HashMap::new();
-        counts.insert("spoofing", 3u64);
-        counts.insert("gap-start", 7);
-        r.record_detectors(&counts);
-        assert_eq!(r.detector_rows(), &[("gap-start", 7), ("spoofing", 3)]);
+        for label in ["spoofing", "gap-start", "spoofing", "gap-start", "gap-start"] {
+            r.count_detector(label);
+        }
+        assert_eq!(r.detector_rows(), &[("gap-start", 3), ("spoofing", 2)]);
     }
 
     #[test]

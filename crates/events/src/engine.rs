@@ -484,7 +484,7 @@ struct LaneSlot {
 ///   ([`EngineLane::observe_sorted`], see [`canonical_sort`]) returns
 ///   per-shard event lists for the leader to merge;
 /// - at a tick boundary the lane deposits
-///   [`EngineLane::index_clones`], the leader builds the fleet-wide
+///   clones of its [`EngineLane::indexes`], the leader builds the fleet-wide
 ///   [`FleetIndex`], every lane sweeps its own shards against it
 ///   ([`EngineLane::sweep`]), and the leader unions the evicted ids
 ///   for the [`EngineLane::evict_pairs`] fan-out.
@@ -556,11 +556,12 @@ impl EngineLane {
             .collect()
     }
 
-    /// Clones of the owned shards' live indexes, `(global shard,
-    /// index)` ascending — the lane's deposit for the leader's
-    /// [`FleetIndex::snapshot`] merge at a tick boundary.
-    pub fn index_clones(&self) -> Vec<(usize, LiveIndex)> {
-        self.slots.iter().map(|s| (s.shard, s.index.clone())).collect()
+    /// The owned shards' live indexes, ascending by global shard. A
+    /// lane deposits clones of them for the leader's
+    /// [`FleetIndex::snapshot`] merge at a tick boundary; a lone lane,
+    /// owning every shard, snapshots them in place.
+    pub fn indexes(&self) -> impl Iterator<Item = &LiveIndex> {
+        self.slots.iter().map(|s| &s.index)
     }
 
     /// Boundary sweep of the owned shards at watermark `wm` against
@@ -879,13 +880,7 @@ mod tests {
             out.extend(merge(&mut per_shard));
             // Tick: fleet merge, per-lane sweeps, union eviction fan-out.
             let wm = Timestamp::from_mins(round as i64 + 1);
-            let mut indexes: Vec<LiveIndex> = vec![LiveIndex::new(); total];
-            for lane in &lane_engines {
-                for (shard, index) in lane.index_clones() {
-                    indexes[shard] = index;
-                }
-            }
-            let fleet = FleetIndex::snapshot(&indexes);
+            let fleet = FleetIndex::snapshot(lane_engines.iter().flat_map(EngineLane::indexes));
             let mut per_shard: Vec<Vec<MaritimeEvent>> = vec![Vec::new(); total];
             let mut gone_all: HashSet<VesselId> = HashSet::new();
             for lane in &mut lane_engines {

@@ -309,11 +309,12 @@ impl FleetIndex {
     /// Build a snapshot over the given shard indexes (one per detector
     /// shard). Cell contents are sorted by vessel id, so queries over
     /// equal snapshots answer identically whatever the shard count.
-    pub fn snapshot(indexes: &[LiveIndex]) -> Self {
-        assert!(!indexes.is_empty());
+    pub fn snapshot<'a>(indexes: impl IntoIterator<Item = &'a LiveIndex>) -> Self {
         let mut cells: HashMap<(i32, i32), FleetCell> = HashMap::new();
         let mut count = 0;
+        let mut shards = 0;
         for index in indexes {
+            shards += 1;
             count += index.len();
             // lint:allow(deterministic-iteration): merge order is
             // immaterial — every bucket is canonically sorted below
@@ -331,7 +332,8 @@ impl FleetIndex {
             bucket.lat.extend(bucket.entries.iter().map(|(f, _)| f.pos.lat));
             bucket.lon.extend(bucket.entries.iter().map(|(f, _)| f.pos.lon));
         }
-        Self { cells, count, shards: indexes.len() }
+        assert!(shards > 0, "a fleet snapshot needs at least one shard index");
+        Self { cells, count, shards }
     }
 
     /// Latest fixes of vessels within `radius_m` of `fix` across the

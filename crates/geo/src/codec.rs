@@ -14,6 +14,10 @@
 //!   [`read_f64_xor`]) — XOR against the previous value's bit pattern,
 //!   varint-encoded; repeated values (a vessel holding course and
 //!   speed) cost one byte and the round-trip is always exact.
+//! - **Checksummed frames** ([`crc32`] / [`write_frame`] /
+//!   [`check_frame`]) — the `[u32 len][u32 CRC-32][payload]` record
+//!   framing (little-endian) the durable tier writes to disk and the
+//!   serving tier writes to sockets.
 //!
 //! ## Example
 //!
@@ -123,10 +127,132 @@ pub fn read_f64_xor(buf: &[u8], at: &mut usize, prev: f64) -> Option<f64> {
     Some(f64::from_bits(read_varint(buf, at)? ^ prev.to_bits()))
 }
 
+/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
+static CRC_TABLE: [u32; 256] = crc_table();
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        // lint:allow(panic-free-decode): i < 256 is the loop bound and
+        // the table length; this is a const-eval table build, not a
+        // byte-dependent decode.
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+/// CRC-32 (IEEE) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        // lint:allow(panic-free-decode): the index is masked to 0xFF
+        // and CRC_TABLE has 256 entries.
+        c = (c >> 8) ^ CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !c
+}
+
+/// Append one frame (length, CRC, payload) to `out`.
+pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// What the bytes at a buffer position are, as a frame. Whether a
+/// short buffer is a torn file or a socket still delivering, and
+/// whether a bad frame ends a log or a connection, is the caller's
+/// call.
+#[derive(Debug)]
+pub enum FrameCheck<'a> {
+    /// A complete frame with a matching checksum: its payload. The
+    /// cursor advanced past it.
+    Whole(&'a [u8]),
+    /// The buffer ends before the frame does (inside the header or the
+    /// payload, or exactly at the cursor). The cursor is unmoved.
+    Short,
+    /// These bytes cannot be a frame: the length prefix exceeds the
+    /// caller's bound, or the checksum disagrees. The cursor is
+    /// unmoved.
+    Bad,
+}
+
+/// Check the frame at `*at`, advancing the cursor past it when it is
+/// whole. A length prefix above `max_len` is [`FrameCheck::Bad`]
+/// whatever the buffer holds — outside bytes must never size memory or
+/// a wait. Never allocates and never panics, whatever the bytes.
+pub fn check_frame<'a>(buf: &'a [u8], at: &mut usize, max_len: usize) -> FrameCheck<'a> {
+    let Some(rest) = buf.get(*at..) else { return FrameCheck::Short };
+    let (Some(len4), Some(crc4)) =
+        (rest.first_chunk::<4>(), rest.get(4..).and_then(|r| r.first_chunk::<4>()))
+    else {
+        return FrameCheck::Short;
+    };
+    let len = u32::from_le_bytes(*len4) as usize;
+    if len > max_len {
+        return FrameCheck::Bad;
+    }
+    let Some(payload) = rest.get(8..).and_then(|r| r.get(..len)) else { return FrameCheck::Short };
+    if crc32(payload) != u32::from_le_bytes(*crc4) {
+        return FrameCheck::Bad;
+    }
+    *at += 8 + len;
+    FrameCheck::Whole(payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // The classic check value for CRC-32/IEEE.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn frame_check_has_three_outcomes_and_moves_only_past_whole_frames() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello");
+        write_frame(&mut buf, b"");
+        let mut at = 0;
+        assert!(matches!(check_frame(&buf, &mut at, usize::MAX), FrameCheck::Whole(b"hello")));
+        assert!(matches!(check_frame(&buf, &mut at, usize::MAX), FrameCheck::Whole(b"")));
+        assert_eq!(at, buf.len());
+        assert!(matches!(check_frame(&buf, &mut at, usize::MAX), FrameCheck::Short));
+        assert!(matches!(check_frame(&buf, &mut (buf.len() + 1), usize::MAX), FrameCheck::Short));
+        // A cut can only shorten, never corrupt.
+        for cut in 0..13 {
+            let mut at = 0;
+            assert!(matches!(check_frame(&buf[..cut], &mut at, usize::MAX), FrameCheck::Short));
+            assert_eq!(at, 0);
+        }
+        // A flipped payload bit fails the CRC; a length above the bound
+        // is bad before the buffer is even consulted.
+        let mut flipped = buf.clone();
+        flipped[10] ^= 0x01;
+        let mut at = 0;
+        assert!(matches!(check_frame(&flipped, &mut at, usize::MAX), FrameCheck::Bad));
+        assert!(matches!(check_frame(&buf, &mut at, 4), FrameCheck::Bad));
+        assert!(matches!(
+            check_frame(&u32::MAX.to_le_bytes(), &mut at, 1 << 20),
+            FrameCheck::Short
+        ));
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0; 4]);
+        assert!(matches!(check_frame(&huge, &mut at, 1 << 20), FrameCheck::Bad));
+        assert_eq!(at, 0);
+    }
 
     #[test]
     fn varint_round_trip_edges() {

@@ -1,13 +1,13 @@
 //! Length-prefixed, CRC-checked frames over a byte *stream* — the
-//! durable tier's framing discipline (`mda-store::frame`) adapted to
-//! sockets.
+//! durable tier's framing discipline adapted to sockets.
 //!
 //! A frame is `[u32 payload len][u32 CRC-32 of payload][payload]`, all
-//! little-endian — byte-compatible with the on-disk frames of the
-//! durable tier. The stream reader differs from the disk reader in one
-//! way: a buffer that ends mid-frame is **[`FrameStatus::Incomplete`]**
-//! (more bytes may still arrive on the socket), not a torn tail, while
-//! a checksum mismatch or an oversized length prefix is
+//! little-endian — the one frame format of [`mda_geo::codec`], which
+//! the durable tier also writes to disk. The stream reader differs
+//! from the disk reader in how it names the outcomes: a buffer that
+//! ends mid-frame is **[`FrameStatus::Incomplete`]** (more bytes may
+//! still arrive on the socket), not a torn tail, while a checksum
+//! mismatch or an oversized length prefix is
 //! **[`FrameStatus::Corrupt`]** — the stream cannot be resynchronised
 //! and the connection must be dropped.
 //!
@@ -15,50 +15,14 @@
 //! (lint rule L2): every path through [`read_frame`] is total over
 //! arbitrary socket bytes.
 
+use mda_geo::codec::{check_frame, FrameCheck};
+
+pub use mda_geo::codec::{crc32, write_frame};
+
 /// Hard upper bound on one frame's payload (4 MiB). A length prefix
 /// beyond this is treated as corruption rather than an allocation
 /// request — socket bytes must never size our memory.
 pub const MAX_FRAME_LEN: usize = 4 << 20;
-
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-static CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        // lint:allow(panic-free-decode): i < 256 is the loop bound and
-        // the table length; this is a const-eval table build, not a
-        // byte-dependent decode.
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE) of `bytes` — identical to the durable tier's.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        // lint:allow(panic-free-decode): the index is masked to 0xFF
-        // and CRC_TABLE has 256 entries.
-        c = (c >> 8) ^ CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !c
-}
-
-/// Append one frame (length, CRC, payload) to `out`.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
 
 /// Outcome of reading one frame from a stream buffer position.
 #[derive(Debug)]
@@ -78,41 +42,16 @@ pub enum FrameStatus<'a> {
 /// Read the frame at `*at`, advancing the cursor past it on success.
 /// Never allocates and never panics, whatever the bytes.
 pub fn read_frame<'a>(buf: &'a [u8], at: &mut usize) -> FrameStatus<'a> {
-    let Some(header) = buf.get(*at..).filter(|r| r.len() >= 8) else {
-        return FrameStatus::Incomplete;
-    };
-    let (Some(len4), Some(crc4)) = (
-        header.get(..4).and_then(|s| s.first_chunk::<4>()),
-        header.get(4..8).and_then(|s| s.first_chunk::<4>()),
-    ) else {
-        return FrameStatus::Incomplete;
-    };
-    let len = u32::from_le_bytes(*len4) as usize;
-    let crc = u32::from_le_bytes(*crc4);
-    if len > MAX_FRAME_LEN {
-        return FrameStatus::Corrupt;
+    match check_frame(buf, at, MAX_FRAME_LEN) {
+        FrameCheck::Whole(payload) => FrameStatus::Ready(payload),
+        FrameCheck::Short => FrameStatus::Incomplete,
+        FrameCheck::Bad => FrameStatus::Corrupt,
     }
-    let Some(start) = at.checked_add(8) else { return FrameStatus::Corrupt };
-    let Some(end) = start.checked_add(len) else { return FrameStatus::Corrupt };
-    let Some(payload) = buf.get(start..end) else { return FrameStatus::Incomplete };
-    if crc32(payload) != crc {
-        return FrameStatus::Corrupt;
-    }
-    *at = end;
-    FrameStatus::Ready(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_the_durable_tier() {
-        // The classic check value for CRC-32/IEEE — the same constant
-        // `mda-store::frame` asserts, so the disciplines cannot drift.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frames_round_trip_and_prefixes_are_incomplete() {

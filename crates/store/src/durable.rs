@@ -46,10 +46,9 @@
 //! [`DurableStore::log_batch`] / [`DurableStore::mark`] are
 //! serialized by an internal lock and may be called from concurrent
 //! writer lanes. [`DurableStore::seal_before`] must not race appends
-//! to the wrapped store — the single-writer pipeline calls it from
-//! its one ingest thread, and the multi-writer pipeline from the
-//! barrier leader while all lanes are parked, which is exactly the
-//! quiescence it needs.
+//! to the wrapped store — the pipeline calls it from the boundary
+//! leader while every other writer lane is parked (a lone lane is its
+//! own leader), which is exactly the quiescence it needs.
 
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::segment::TrajectorySegment;

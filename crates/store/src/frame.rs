@@ -2,51 +2,16 @@
 //! discipline shared by segment files, the WAL and the manifest.
 //!
 //! A frame on disk is `[u32 payload len][u32 CRC-32 of payload]
-//! [payload]`, all little-endian. Reading is over an in-memory byte
-//! slice (the durable tier reads files back whole — `unsafe` is denied
-//! workspace-wide, so no mmap) and distinguishes a *torn tail* (the
-//! file ends mid-frame, or the CRC disagrees — expected after a crash,
-//! handled by truncate-and-continue) from a clean end of input.
+//! [payload]`, all little-endian ([`mda_geo::codec::check_frame`]).
+//! Reading is over an in-memory byte slice (the durable tier reads
+//! files back whole — `unsafe` is denied workspace-wide, so no mmap)
+//! and distinguishes a *torn tail* (the file ends mid-frame, or the CRC
+//! disagrees — expected after a crash, handled by truncate-and-continue)
+//! from a clean end of input.
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-static CRC_TABLE: [u32; 256] = crc_table();
+use mda_geo::codec::{check_frame, FrameCheck};
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        // lint:allow(panic-free-decode): i < 256 is the loop bound and
-        // the table length; this is a const-eval table build, not a
-        // byte-dependent decode.
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE) of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        // lint:allow(panic-free-decode): the index is masked to 0xFF
-        // and CRC_TABLE has 256 entries.
-        c = (c >> 8) ^ CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !c
-}
-
-/// Append one frame (length, CRC, payload) to `out`.
-pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
+pub(crate) use mda_geo::codec::write_frame;
 
 /// Outcome of reading one frame from a buffer position.
 pub(crate) enum FrameRead<'a> {
@@ -68,31 +33,15 @@ pub(crate) fn read_frame<'a>(buf: &'a [u8], at: &mut usize) -> FrameRead<'a> {
     if *at == buf.len() {
         return FrameRead::End;
     }
-    let Some(header) = buf.get(*at..*at + 8) else { return FrameRead::Torn };
-    let (Some(len4), Some(crc4)) = (header.first_chunk::<4>(), header.last_chunk::<4>()) else {
-        return FrameRead::Torn;
-    };
-    let len = u32::from_le_bytes(*len4) as usize;
-    let crc = u32::from_le_bytes(*crc4);
-    let Some(end) = (*at + 8).checked_add(len) else { return FrameRead::Torn };
-    let Some(payload) = buf.get(*at + 8..end) else { return FrameRead::Torn };
-    if crc32(payload) != crc {
-        return FrameRead::Torn;
+    match check_frame(buf, at, usize::MAX) {
+        FrameCheck::Whole(payload) => FrameRead::Ok(payload),
+        FrameCheck::Short | FrameCheck::Bad => FrameRead::Torn,
     }
-    *at = end;
-    FrameRead::Ok(payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frames_round_trip_and_reject_corruption() {

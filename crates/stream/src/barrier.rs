@@ -17,9 +17,12 @@
 //! that unwinds mid-protocol [abandons](TickBarrier::abandon) the
 //! barrier, waking every parked sibling into a panic instead of a
 //! deadlocked [`std::thread::scope`] join. [`run_lanes`] packages the
-//! spawn/guard/join choreography.
+//! spawn/guard/join choreography and hands every lane a [`Shared`]
+//! handle, whose [`Shared::cross`] is one such crossing. A single lane
+//! has nobody to meet: it runs on the caller's thread and owns the
+//! shared state outright.
 
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Panic message used when a lane finds the barrier abandoned. Kept as
@@ -72,11 +75,6 @@ impl TickBarrier {
             cvar: Condvar::new(),
             parties,
         }
-    }
-
-    /// Number of lanes the barrier synchronizes.
-    pub fn parties(&self) -> usize {
-        self.parties
     }
 
     /// Arrive at the phase boundary. The last lane to arrive returns
@@ -140,11 +138,6 @@ impl TickBarrier {
         drop(s);
         self.cvar.notify_all();
     }
-
-    /// True once a lane abandoned the barrier.
-    pub fn is_broken(&self) -> bool {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).broken
-    }
 }
 
 /// Abandons the barrier on drop unless disarmed — the lane-side half of
@@ -169,36 +162,94 @@ fn is_abandon_payload(payload: &(dyn std::any::Any + Send)) -> bool {
         || payload.downcast_ref::<String>().is_some_and(|s| s == ABANDONED)
 }
 
-/// Run one scoped thread per lane, each sharing a [`TickBarrier`] over
-/// `lanes.len()` parties, and join them all. `f` receives the lane
-/// index, exclusive access to that lane's state, and the barrier;
-/// results come back in lane order.
+/// A lane's handle on the state its [`run_lanes`] call shares.
+pub enum Shared<'a, S> {
+    /// The lone lane, on the caller's thread: it owns the state
+    /// outright and has no other lane to meet.
+    Inline(&'a mut S),
+    /// One of several lane threads: the state sits behind the mutex,
+    /// and the lanes meet at the barrier.
+    Threaded(&'a Mutex<S>, &'a TickBarrier),
+}
+
+fn lock<S>(state: &Mutex<S>) -> MutexGuard<'_, S> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<S> Shared<'_, S> {
+    /// Run `f` on the shared state (briefly locked when threaded; never
+    /// call it while inside another `with` or `cross` closure).
+    pub fn with<R>(&mut self, f: impl FnOnce(&mut S) -> R) -> R {
+        match self {
+            Shared::Inline(state) => f(state),
+            Shared::Threaded(state, _) => f(&mut lock(state)),
+        }
+    }
+
+    /// One barrier crossing: every lane runs its `deposit`, then the
+    /// last lane to arrive runs `lead` while all others stay parked,
+    /// and only then do the lanes resume.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another lane abandoned the barrier (see
+    /// [`TickBarrier::wait`]).
+    pub fn cross(&mut self, deposit: impl FnOnce(&mut S), lead: impl FnOnce(&mut S)) {
+        match self {
+            Shared::Inline(state) => {
+                deposit(state);
+                lead(state);
+            }
+            Shared::Threaded(state, barrier) => {
+                deposit(&mut lock(state));
+                if barrier.wait() == LaneRole::Leader {
+                    lead(&mut lock(state));
+                    barrier.release();
+                }
+            }
+        }
+    }
+}
+
+/// Run `f` once per lane and return the results in lane order. `f`
+/// receives the lane index, exclusive access to that lane's state, and
+/// the lane's [`Shared`] handle on `shared`.
+///
+/// A single lane runs inline on the calling thread — no spawn, no
+/// barrier, no lock. Several lanes run on one scoped thread each,
+/// sharing a [`TickBarrier`] over `lanes.len()` parties, and are all
+/// joined before this returns.
 ///
 /// If any lane panics, the barrier is abandoned (no deadlocked scope),
-/// every other lane unwinds at its next `wait`, and the *original*
+/// every other lane unwinds at its next crossing, and the *original*
 /// panic is re-raised after all lanes have been joined.
-pub fn run_lanes<T, R>(
+pub fn run_lanes<T, S, R>(
     lanes: &mut [T],
-    f: impl Fn(usize, &mut T, &TickBarrier) -> R + Sync,
+    shared: &mut Mutex<S>,
+    f: impl Fn(usize, &mut T, Shared<'_, S>) -> R + Sync,
 ) -> Vec<R>
 where
     T: Send,
+    S: Send,
     R: Send,
 {
+    if let [lane] = lanes {
+        let state = shared.get_mut().unwrap_or_else(PoisonError::into_inner);
+        return vec![f(0, lane, Shared::Inline(state))];
+    }
     if lanes.is_empty() {
         return Vec::new();
     }
     let barrier = TickBarrier::new(lanes.len());
     let results: Vec<thread::Result<R>> = thread::scope(|scope| {
-        let barrier = &barrier;
-        let f = &f;
+        let (barrier, shared, f) = (&barrier, &*shared, &f);
         let handles: Vec<_> = lanes
             .iter_mut()
             .enumerate()
             .map(|(w, lane)| {
                 scope.spawn(move || {
                     let mut guard = AbandonOnDrop { barrier, armed: true };
-                    let out = f(w, lane, barrier);
+                    let out = f(w, lane, Shared::Threaded(shared, barrier));
                     guard.armed = false;
                     out
                 })
@@ -247,67 +298,59 @@ mod tests {
     #[test]
     fn one_leader_per_phase_across_generations() {
         const LANES: usize = 4;
-        const ROUNDS: usize = 25;
-        let leader_runs = AtomicU64::new(0);
+        const ROUNDS: u64 = 25;
         let serialized = AtomicBool::new(false);
         let mut states = vec![(); LANES];
-        let totals = run_lanes(&mut states, |_w, _s, barrier| {
-            let mut led = 0u64;
+        // (deposits, leader runs)
+        let mut shared = Mutex::new((0u64, 0u64));
+        run_lanes(&mut states, &mut shared, |_w, _s, mut shared| {
             for _ in 0..ROUNDS {
-                match barrier.wait() {
-                    LaneRole::Leader => {
+                shared.cross(
+                    |s| s.0 += 1,
+                    |s| {
                         // No two leader sections may overlap.
                         assert!(!serialized.swap(true, Ordering::SeqCst));
-                        leader_runs.fetch_add(1, Ordering::SeqCst);
-                        led += 1;
+                        s.1 += 1;
                         assert!(serialized.swap(false, Ordering::SeqCst));
-                        barrier.release();
-                    }
-                    LaneRole::Follower => {}
-                }
+                    },
+                );
             }
-            led
         });
-        assert_eq!(leader_runs.load(Ordering::SeqCst), ROUNDS as u64);
-        assert_eq!(totals.iter().sum::<u64>(), ROUNDS as u64);
+        assert_eq!(shared.into_inner().unwrap(), (LANES as u64 * ROUNDS, ROUNDS));
     }
 
     #[test]
     fn followers_stay_parked_until_release() {
         // The leader holds the phase open while it mutates shared
-        // state; a follower observing the mutation before its wait()
-        // returned would be a protocol violation.
-        let checkpoint = AtomicU64::new(0);
+        // state; a follower resuming before the mutation is complete
+        // and visible would be a protocol violation.
         let mut states = vec![(); 3];
-        run_lanes(&mut states, |_w, _s, barrier| {
+        let mut checkpoint = Mutex::new(0u64);
+        run_lanes(&mut states, &mut checkpoint, |_w, _s, mut shared| {
             for round in 1..=10u64 {
-                match barrier.wait() {
-                    LaneRole::Leader => {
-                        checkpoint.store(round, Ordering::SeqCst);
-                        barrier.release();
-                    }
-                    LaneRole::Follower => {
-                        // By the time a follower resumes, the leader's
-                        // serialized write is complete and visible.
-                        assert_eq!(checkpoint.load(Ordering::SeqCst), round);
-                    }
-                }
+                shared.cross(|_| {}, |c| *c = round);
+                assert_eq!(shared.with(|c| *c), round);
+                // Nobody may lead the next round before every lane has
+                // checked this one.
+                shared.cross(|_| {}, |_| {});
             }
         });
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload.downcast_ref::<&str>().copied().unwrap_or_default()
     }
 
     #[test]
     fn panicking_lane_releases_parked_siblings() {
         let mut states = vec![(); 4];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_lanes(&mut states, |w, _s, barrier| {
+            run_lanes(&mut states, &mut Mutex::new(()), |w, _s, mut shared| {
                 for round in 0..5 {
                     if w == 2 && round == 3 {
                         panic!("injected lane fault");
                     }
-                    if barrier.wait() == LaneRole::Leader {
-                        barrier.release();
-                    }
+                    shared.cross(|()| {}, |()| {});
                 }
             });
         }));
@@ -315,49 +358,47 @@ mod tests {
         // the propagated payload must be the injected one, not the
         // secondary abandoned-barrier panic.
         let payload = result.expect_err("lane panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "injected lane fault");
+        assert_eq!(panic_message(payload.as_ref()), "injected lane fault");
     }
 
     #[test]
     fn panicking_leader_releases_parked_followers() {
         let mut states = vec![(); 3];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_lanes(&mut states, |_w, _s, barrier| {
+            run_lanes(&mut states, &mut Mutex::new(()), |_w, _s, mut shared| {
                 for round in 0..4 {
-                    if barrier.wait() == LaneRole::Leader {
-                        if round == 2 {
-                            panic!("leader died mid-merge");
-                        }
-                        barrier.release();
-                    }
+                    shared.cross(
+                        |()| {},
+                        |()| {
+                            if round == 2 {
+                                panic!("leader died mid-merge");
+                            }
+                        },
+                    );
                 }
             });
         }));
         let payload = result.expect_err("leader panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "leader died mid-merge");
+        assert_eq!(panic_message(payload.as_ref()), "leader died mid-merge");
     }
 
     #[test]
     fn lanes_inside_run_with_readers_release_readers_on_panic() {
-        // The composed shape the multi-writer pipeline uses: reader
-        // loops poll while writer lanes run. A lane panic must release
-        // both the barrier (siblings) and the reader flag.
+        // The composed shape the pipeline uses: reader loops poll while
+        // writer lanes run. A lane panic must release both the barrier
+        // (siblings) and the reader flag.
         use crate::runner::run_with_readers;
         let polls = AtomicU64::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_with_readers(
                 || {
                     let mut states = vec![(); 3];
-                    run_lanes(&mut states, |w, _s, barrier| {
+                    run_lanes(&mut states, &mut Mutex::new(()), |w, _s, mut shared| {
                         for round in 0..6 {
                             if w == 1 && round == 4 {
                                 panic!("lane fault under readers");
                             }
-                            if barrier.wait() == LaneRole::Leader {
-                                barrier.release();
-                            }
+                            shared.cross(|()| {}, |()| {});
                         }
                     });
                 },
@@ -375,15 +416,37 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_single_lane_run() {
+    fn empty_lane_set_runs_nothing() {
         let mut none: Vec<u32> = Vec::new();
-        assert!(run_lanes(&mut none, |_, _, _| 1).is_empty());
+        assert!(run_lanes(&mut none, &mut Mutex::new(()), |_, _, _| 1).is_empty());
+    }
+
+    #[test]
+    fn single_lane_runs_inline_on_the_calling_thread() {
+        let caller = thread::current().id();
         let mut one = vec![10u32];
-        let out = run_lanes(&mut one, |w, s, barrier| {
-            assert_eq!(barrier.wait(), LaneRole::Leader);
-            barrier.release();
+        let mut shared = Mutex::new(Vec::new());
+        let out = run_lanes(&mut one, &mut shared, |w, s, mut shared| {
+            assert_eq!(thread::current().id(), caller, "a lone lane must not be spawned");
+            assert!(matches!(shared, Shared::Inline(_)), "a lone lane owns the shared state");
+            // A crossing is the two closures in sequence: nobody to
+            // wait for, so nothing to park on.
+            shared.cross(|log| log.push("deposit"), |log| log.push("lead"));
             *s + w as u32
         });
         assert_eq!(out, vec![10]);
+        assert_eq!(shared.into_inner().unwrap(), ["deposit", "lead"]);
+    }
+
+    #[test]
+    fn single_lane_panic_surfaces_with_its_original_payload() {
+        let mut one = vec![()];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_lanes(&mut one, &mut Mutex::new(()), |_, _, mut shared| {
+                shared.cross(|()| {}, |()| panic!("inline lane fault"));
+            });
+        }));
+        let payload = result.expect_err("lane panic must propagate");
+        assert_eq!(panic_message(payload.as_ref()), "inline lane fault");
     }
 }

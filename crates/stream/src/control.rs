@@ -216,12 +216,11 @@ pub struct ControlGauges {
 
 /// Arrival-side observation accumulator.
 ///
-/// Lives on whichever thread accepts arrivals (the single-writer ingest
-/// loop, the multi-writer router) so the per-arrival path never takes a
-/// lock: lateness EMAs update in place, per-shard counts accumulate,
-/// and [`AdaptiveController::absorb`] drains the window into the
-/// committing side at a deterministic point (a tick boundary or an
-/// epoch start).
+/// Lives on the thread that accepts arrivals (the pipeline's router)
+/// so the per-arrival path never takes a lock: lateness EMAs update in
+/// place, per-shard counts accumulate, and
+/// [`AdaptiveController::absorb`] drains the window into the committing
+/// side at a deterministic point (an epoch start).
 #[derive(Debug, Clone)]
 pub struct ArrivalWindow {
     max_seen: Option<Timestamp>,

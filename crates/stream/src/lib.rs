@@ -19,7 +19,7 @@
 //!   chaining with per-stage instrumentation, used by `mda-core` to wire
 //!   the Figure-2 architecture.
 //! - **Parallel execution** ([`runner`]) — hash-partitioned worker pool
-//!   over crossbeam channels, the stand-in for a distributed cluster.
+//!   over channels, the stand-in for a distributed cluster.
 //! - **Barrier protocol** ([`barrier`]) — leader-electing, panic-safe
 //!   tick-boundary barrier for multi-writer shard-affine ingest.
 //! - **Adaptive control** ([`control`]) — deterministic fast/slow-EMA
@@ -53,7 +53,7 @@ pub mod runner;
 pub mod watermark;
 pub mod window;
 
-pub use barrier::{run_lanes, LaneRole, TickBarrier};
+pub use barrier::{run_lanes, LaneRole, Shared, TickBarrier};
 pub use control::{AdaptiveController, ArrivalWindow, ControlConfig, ControlGauges, Knobs};
 pub use join::IntervalJoin;
 pub use pipeline::{Pipeline, Stage};

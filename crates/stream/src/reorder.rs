@@ -63,6 +63,15 @@ impl<T> ReorderBuffer<T> {
         true
     }
 
+    /// Earliest and latest buffered event times at or before
+    /// `watermark` — the span the next [`Self::release`] up to it
+    /// covers — or `None` when that release would be empty.
+    pub fn span_until(&self, watermark: Timestamp) -> Option<(Timestamp, Timestamp)> {
+        let mut due = self.pending.range(..=watermark);
+        let first = *due.next()?.0;
+        Some((first, due.next_back().map_or(first, |(t, _)| *t)))
+    }
+
     /// Release all elements with `t <= watermark`, in event-time order.
     pub fn release(&mut self, watermark: Timestamp) -> Vec<(Timestamp, T)> {
         if watermark < self.released_watermark {
@@ -102,6 +111,20 @@ mod tests {
         let rest = b.drain_all();
         assert_eq!(rest, vec![(Timestamp(30), "c")]);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn span_until_brackets_the_next_release() {
+        let mut b = ReorderBuffer::new();
+        assert_eq!(b.span_until(Timestamp(100)), None);
+        for t in [30, 10, 20, 40] {
+            b.push(Timestamp(t), t);
+        }
+        assert_eq!(b.span_until(Timestamp(5)), None);
+        assert_eq!(b.span_until(Timestamp(10)), Some((Timestamp(10), Timestamp(10))));
+        assert_eq!(b.span_until(Timestamp(35)), Some((Timestamp(10), Timestamp(30))));
+        b.release(Timestamp(35));
+        assert_eq!(b.span_until(Timestamp::MAX), Some((Timestamp(40), Timestamp(40))));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hash-partitioned parallel execution over crossbeam channels.
+//! Hash-partitioned parallel execution over channels.
 //!
 //! The distributed streaming engines the paper surveys shard keyed state
 //! across workers. [`run_partitioned`] reproduces that execution model in
@@ -6,8 +6,8 @@
 //! owns its shard's state, and outputs are gathered in completion order.
 //! It is the execution substrate for the throughput experiments.
 
-use crossbeam::channel;
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::mpsc;
 use std::thread;
 
 /// Route `items` to `workers` shards by key hash; each worker folds its
@@ -31,8 +31,7 @@ where
     F: FnMut(T) -> Vec<O> + Send,
 {
     assert!(workers > 0);
-    let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..workers).map(|_| channel::unbounded::<T>()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel::<T>()).unzip();
 
     // Route by key hash before spawning so senders can be dropped,
     // closing the channels.

@@ -25,8 +25,8 @@
 //!
 //! ## Quickstart: ingest *and* query
 //!
-//! The pipeline is a single-writer ingest loop; its
-//! [`query_service`](mda_core::MaritimePipeline::query_service) hands
+//! The pipeline is one `&mut` ingest loop; its
+//! [`query_service`](mda_core::MultiWriterPipeline::query_service) hands
 //! out cloneable, thread-safe read handles that answer from consistent
 //! watermark-stamped snapshots — during ingest or after it.
 //!

@@ -347,3 +347,59 @@ fn multi_writer_with_concurrent_readers() {
         "cursor polling must reassemble the emitted event stream exactly"
     );
 }
+
+#[test]
+fn inline_lane_panic_leaves_readers_on_the_last_published_snapshot() {
+    // One writer lane runs inline on the pushing thread: there is no
+    // barrier to abandon and no sibling to release, so the fault must
+    // surface as the lane's own panic, straight out of the push call,
+    // while concurrent readers keep answering from the last snapshot
+    // published before it.
+    let mut pipeline = MultiWriterPipeline::new(battery_config(), 1).with_ingest_batch(8);
+    assert_eq!(pipeline.writers(), 1);
+    pipeline.inject_lane_panic(0, 30);
+    let service = pipeline.query_service();
+    let pusher = std::thread::current().id();
+
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        maritime::stream::runner::run_with_readers(
+            || {
+                for i in 0..180i64 {
+                    for v in 1..=12u32 {
+                        let pos = Position::new(42.3 + 0.12 * f64::from(v), 4.0 + 0.004 * i as f64);
+                        pipeline.push_fix(Fix::new(v, Timestamp::from_mins(i), pos, 11.0, 90.0));
+                    }
+                }
+                pipeline.finish();
+            },
+            3,
+            |reader, running| {
+                assert_ne!(std::thread::current().id(), pusher);
+                let service = service.clone();
+                let mut last = Timestamp::MIN;
+                while running.load(Ordering::Acquire) {
+                    let snap = service.snapshot();
+                    assert!(snap.watermark() >= last, "reader {reader}: watermark regressed");
+                    last = snap.watermark();
+                    std::thread::yield_now();
+                }
+            },
+        )
+    }));
+    let payload = result.expect_err("injected lane fault must propagate to the writer");
+    assert_eq!(payload.downcast_ref::<&str>().copied(), Some("injected lane fault"));
+
+    // The 30th boundary never closed: the stamp readers see is the
+    // 29th's — on the tick grid, behind the data pushed — and it still
+    // answers, with nothing beyond it visible.
+    let snap = service.snapshot();
+    let stamp = snap.watermark();
+    assert!(stamp > Timestamp::MIN, "29 boundaries were published before the fault");
+    assert_eq!(stamp.millis() % battery_config().tick_interval, 0);
+    assert!(stamp < Timestamp::from_mins(179));
+    assert_eq!(snap.store().vessels().len(), 12);
+    for id in snap.store().vessels() {
+        let traj = snap.trajectory(id).value.expect("archived before the fault");
+        assert!(traj.iter().all(|f| f.t <= stamp), "data beyond the stamp");
+    }
+}
