@@ -5,10 +5,9 @@
 //! [`mda_geo::Position`]; raw field scales live only in [`crate::codec`].
 
 use mda_geo::{Position, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Navigational status field of class-A position reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NavigationalStatus {
     /// Under way using engine.
     UnderWayUsingEngine,
@@ -76,7 +75,7 @@ impl NavigationalStatus {
 }
 
 /// Coarse ship type (decoded from the 8-bit type-of-ship-and-cargo field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShipType {
     /// 30 — fishing vessel.
     Fishing,
@@ -151,7 +150,7 @@ impl ShipType {
 }
 
 /// Class-A position report (message types 1, 2 and 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositionReport {
     /// Message type (1, 2 or 3) — preserved for round-tripping.
     pub msg_type: u8,
@@ -179,7 +178,7 @@ pub struct PositionReport {
 }
 
 /// Static and voyage-related data (message type 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaticVoyageData {
     /// Repeat indicator.
     pub repeat: u8,
@@ -228,7 +227,7 @@ impl StaticVoyageData {
 }
 
 /// Class-B position report (message type 18).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassBPositionReport {
     /// Repeat indicator.
     pub repeat: u8,
@@ -249,7 +248,7 @@ pub struct ClassBPositionReport {
 }
 
 /// Any decoded AIS message the workspace understands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AisMessage {
     /// Types 1/2/3.
     Position(PositionReport),

@@ -5,14 +5,12 @@
 //! Identification Digits, MID). Identity-fraud detection in the veracity
 //! experiments relies on these structural rules.
 
-use serde::{Deserialize, Serialize};
-
 /// A validated-on-demand MMSI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mmsi(pub u32);
 
 /// Coarse station category derived from the MMSI structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StationKind {
     /// Ordinary ship station (MID at digits 1–3).
     Ship,

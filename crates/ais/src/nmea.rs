@@ -27,6 +27,10 @@ pub enum NmeaError {
     BadPayloadChar(char),
     /// The fragment index is outside `1..=count` (index, count).
     BadFragment(u8, u8),
+    /// The sequential message id is outside `0..=9`.
+    BadMessageId(u8),
+    /// The radio channel is not `A`, `B`, `1` or `2`.
+    BadChannel(char),
 }
 
 impl std::fmt::Display for NmeaError {
@@ -38,6 +42,8 @@ impl std::fmt::Display for NmeaError {
             NmeaError::BadNumber => write!(f, "malformed numeric field"),
             NmeaError::BadPayloadChar(c) => write!(f, "invalid payload character {c:?}"),
             NmeaError::BadFragment(i, n) => write!(f, "fragment {i} of a {n}-fragment message"),
+            NmeaError::BadMessageId(id) => write!(f, "sequential message id {id} is not 0-9"),
+            NmeaError::BadChannel(c) => write!(f, "radio channel {c:?} is not A, B, 1 or 2"),
         }
     }
 }
@@ -54,7 +60,7 @@ pub struct Sentence {
     /// Sequential message id linking fragments (empty for single-fragment
     /// messages).
     pub message_id: Option<u8>,
-    /// Radio channel (`A` or `B`).
+    /// Radio channel (`A`, `B`, `1` or `2`).
     pub channel: char,
     /// Armored payload characters.
     pub payload: String,
@@ -70,6 +76,19 @@ impl Sentence {
         } else {
             Err(NmeaError::BadFragment(self.frag_index, self.frag_count))
         }
+    }
+
+    /// The assembler key `(message id, channel)`. Only ids `0..=9` and
+    /// channels `A`/`B`/`1`/`2` are in spec, so at most 11 × 4 = 44
+    /// messages can be pending at once.
+    fn key(&self) -> Result<(Option<u8>, char), NmeaError> {
+        if let Some(id) = self.message_id.filter(|&id| id > 9) {
+            return Err(NmeaError::BadMessageId(id));
+        }
+        if !matches!(self.channel, 'A' | 'B' | '1' | '2') {
+            return Err(NmeaError::BadChannel(self.channel));
+        }
+        Ok((self.message_id, self.channel))
     }
 }
 
@@ -132,10 +151,9 @@ pub fn dearmor_payload(payload: &str, fill_bits: u8) -> Result<Vec<bool>, NmeaEr
 /// convention.
 pub fn to_sentences(bits: &[bool], fill_bits: usize, channel: char, message_id: u8) -> Vec<String> {
     let payload = armor_bits(bits);
-    let chunks: Vec<&str> = payload
-        .as_bytes()
-        .chunks(MAX_PAYLOAD_CHARS)
-        .map(|c| std::str::from_utf8(c).expect("ascii payload"))
+    let chunks: Vec<&str> = (0..payload.len())
+        .step_by(MAX_PAYLOAD_CHARS)
+        .filter_map(|at| payload.get(at..payload.len().min(at + MAX_PAYLOAD_CHARS)))
         .collect();
     let n = chunks.len().max(1);
     let mut out = Vec::with_capacity(n);
@@ -149,8 +167,9 @@ pub fn to_sentences(bits: &[bool], fill_bits: usize, channel: char, message_id: 
     out
 }
 
-/// Parse one `!AIVDM` sentence, verifying the checksum and that the
-/// fragment index lies in `1..=frag_count`.
+/// Parse one `!AIVDM` sentence, verifying the checksum, that the
+/// fragment index lies in `1..=frag_count`, and that the message id and
+/// channel are in spec (an empty channel means `A`).
 pub fn parse_sentence(line: &str) -> Result<Sentence, NmeaError> {
     let line = line.trim();
     let rest = line.strip_prefix('!').ok_or(NmeaError::NotAivdm)?;
@@ -185,6 +204,7 @@ pub fn parse_sentence(line: &str) -> Result<Sentence, NmeaError> {
         fill_bits,
     };
     sentence.slot()?;
+    sentence.key()?;
     Ok(sentence)
 }
 
@@ -201,15 +221,16 @@ impl SentenceAssembler {
     }
 
     /// Feed one sentence; returns the full payload bits when a message
-    /// completes. A fragment index outside `1..=frag_count` is an
-    /// error and leaves every pending message as it was.
+    /// completes. A fragment index outside `1..=frag_count`, or an
+    /// out-of-spec message id or channel, is an error and leaves every
+    /// pending message as it was.
     pub fn push(&mut self, s: Sentence) -> Result<Option<Vec<bool>>, NmeaError> {
         if s.frag_count <= 1 {
             return Ok(Some(dearmor_payload(&s.payload, s.fill_bits)?));
         }
         let idx = s.slot()?;
         let count = usize::from(s.frag_count);
-        let mut entry = match self.pending.entry((s.message_id, s.channel)) {
+        let mut entry = match self.pending.entry(s.key()?) {
             Entry::Occupied(entry) => entry,
             Entry::Vacant(entry) => entry.insert_entry(vec![None; count]),
         };
@@ -218,7 +239,9 @@ impl SentenceAssembler {
             // Conflicting fragment count: restart with the new one.
             *parts = vec![None; count];
         }
-        parts[idx] = Some(s);
+        if let Some(part) = parts.get_mut(idx) {
+            *part = Some(s);
+        }
         if parts.iter().all(Option::is_some) {
             let parts = entry.remove();
             let mut bits = Vec::new();
@@ -415,6 +438,29 @@ mod tests {
         let back = asm.push(second).unwrap().expect("message completed");
         assert_eq!(back, bits[..bits.len() - fill]);
         assert_eq!(asm.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_flood_of_first_fragments_keeps_the_assembler_bounded() {
+        // Every printable channel character that keeps the sentence
+        // well-formed (',' and '*' are field/checksum separators).
+        let channels: Vec<char> = ('!'..='~').filter(|c| !matches!(c, ',' | '*')).collect();
+        let mut asm = SentenceAssembler::new();
+        for n in 0..100_000usize {
+            let id = n % 256;
+            let channel = channels[n / 256 % channels.len()];
+            let body = format!("AIVDM,2,1,{id},{channel},55P5TL01VIaAL@7WKO@mBplU@<PDhh0000,0");
+            let line = format!("!{body}*{:02X}", checksum(&body));
+            let in_spec = id <= 9 && matches!(channel, 'A' | 'B' | '1' | '2');
+            match parse_sentence(&line) {
+                Ok(s) => {
+                    assert!(in_spec, "{line} is out of spec but parsed");
+                    assert_eq!(asm.push(s), Ok(None));
+                }
+                Err(e) => assert!(!in_spec, "{line} is in spec but failed: {e}"),
+            }
+        }
+        assert!(asm.pending_count() <= 44, "{} pending", asm.pending_count());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 
 use crate::messages::{AisMessage, ClassBPositionReport, PositionReport, StaticVoyageData};
 use crate::mmsi::{Mmsi, StationKind};
-use serde::{Deserialize, Serialize};
 
 /// A specific defect found in one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QualityIssue {
     /// MMSI is not a structurally plausible station identity.
     ImplausibleMmsi,
@@ -40,7 +39,7 @@ pub enum QualityIssue {
 }
 
 /// Validation result for one message.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QualityReport {
     /// All issues found (empty means clean).
     pub issues: Vec<QualityIssue>,

@@ -29,7 +29,7 @@ impl BitWriter {
 
     /// Write the low `width` bits of `value`, most significant first.
     pub fn put_u32(&mut self, value: u32, width: usize) {
-        assert!(width <= 32);
+        debug_assert!(width <= 32);
         for i in (0..width).rev() {
             self.bits.push((value >> i) & 1 == 1);
         }
@@ -97,16 +97,10 @@ impl<'a> BitReader<'a> {
 
     /// Read `width` bits as an unsigned value.
     pub fn take_u32(&mut self, width: usize) -> Result<u32, OutOfBits> {
-        assert!(width <= 32);
-        if self.remaining() < width {
-            return Err(OutOfBits);
-        }
-        let mut v = 0u32;
-        for _ in 0..width {
-            v = (v << 1) | (self.bits[self.cursor] as u32);
-            self.cursor += 1;
-        }
-        Ok(v)
+        debug_assert!(width <= 32);
+        let bits = self.bits.get(self.cursor..self.cursor + width).ok_or(OutOfBits)?;
+        self.cursor += width;
+        Ok(bits.iter().fold(0, |v, &b| (v << 1) | u32::from(b)))
     }
 
     /// Read `width` bits as a signed (two's complement) value.

@@ -1,10 +1,9 @@
 //! The maritime event vocabulary.
 
 use mda_geo::{Position, Timestamp, VesselId};
-use serde::{Deserialize, Serialize};
 
 /// How urgent an event is for the operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Routine (e.g. port arrival).
     Info,
@@ -15,7 +14,7 @@ pub enum Severity {
 }
 
 /// The kinds of events the engine recognises.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// AIS silence began (detected retrospectively or by timeout).
     GapStart,
@@ -124,7 +123,7 @@ impl EventKind {
 }
 
 /// A recognised event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaritimeEvent {
     /// Event time (event-time semantics, not arrival time).
     pub t: Timestamp,

@@ -3,8 +3,7 @@
 //! "The range of possible events of interest is very large, from
 //! detecting vessels in distress and collisions at sea to discovering
 //! illegal fishing..." This crate implements streaming detectors for
-//! exactly the catalogue the paper enumerates, plus a small declarative
-//! pattern automaton for composing them:
+//! exactly the catalogue the paper enumerates:
 //!
 //! - [`event`] — the event vocabulary: kinds, severity, provenance.
 //! - [`gap`] — AIS communication gaps / going dark.
@@ -17,8 +16,6 @@
 //! - [`proximity`] — pairwise analytics on a versioned live spatial
 //!   snapshot: rendezvous (sustained close approach at sea) and
 //!   collision risk (CPA/TCPA), evaluated by watermark sweeps.
-//! - [`pattern`] — sequence patterns with time bounds and negation over
-//!   per-key event streams (the "formalization of events" challenge).
 //! - [`ring`] — bounded event-log retention with cursor-based
 //!   subscriptions ([`ring::EventRing::poll_since`]): the hand-off
 //!   point between the engine's emission and concurrent consumers.
@@ -52,7 +49,6 @@ pub mod engine;
 pub mod event;
 pub mod gap;
 pub mod loiter;
-pub mod pattern;
 pub mod proximity;
 pub mod ring;
 pub mod veracity;

@@ -2,11 +2,10 @@
 
 use crate::event::{EventKind, MaritimeEvent};
 use mda_geo::{Fix, Polygon, Timestamp, VesselId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A zone the detector watches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NamedZone {
     /// Zone name (stable key in emitted events).
     pub name: String,

@@ -9,11 +9,10 @@
 
 use mda_geo::units::heading_delta;
 use mda_geo::{BoundingBox, Fix, Position};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-cell running statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CellNorm {
     count: u64,
     mean_speed: f64,
@@ -52,7 +51,7 @@ impl CellNorm {
 }
 
 /// An anomaly assessment of one fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyScore {
     /// Combined score (0 ≈ normal; ≥ 1 clearly anomalous).
     pub score: f64,
@@ -65,7 +64,7 @@ pub struct AnomalyScore {
 }
 
 /// A learned pattern-of-life model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NormalcyModel {
     bounds: BoundingBox,
     cell_deg: f64,

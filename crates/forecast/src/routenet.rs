@@ -11,7 +11,6 @@ use crate::Predictor;
 use mda_geo::distance::destination;
 use mda_geo::units::{knots_to_mps, norm_deg_360};
 use mda_geo::{BoundingBox, Fix, Position, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Number of course sectors per cell (45° each). Lanes are sailed in
@@ -45,7 +44,7 @@ fn speed_q(kn: f64) -> i64 {
 /// lets a multi-writer pipeline publish bit-identical predictors to a
 /// single-writer run; the quantization error (≪ 1e-9 per fix) is far
 /// below the physical meaning of a course-over-ground reading.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CellStats {
     /// Number of fixes observed in the cell.
     pub count: u64,
@@ -164,7 +163,7 @@ impl CellStats {
 }
 
 /// A learned route network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouteNetwork {
     bounds: BoundingBox,
     cell_deg: f64,

@@ -5,10 +5,9 @@
 //! the full `[-180, 180]` box).
 
 use crate::pos::Position;
-use serde::{Deserialize, Serialize};
 
 /// A closed axis-aligned box in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Southern edge (min latitude).
     pub min_lat: f64,

@@ -8,9 +8,7 @@
 //!   (position, speed over ground, course over ground).
 //! - Distance/bearing math on the sphere ([`distance`]), local metric
 //!   projections ([`projection`]), and motion models ([`motion`]).
-//! - Spatial containers: [`bbox::BoundingBox`], [`polygon::Polygon`],
-//!   a uniform [`grid::GridIndex`], an [`rtree::RTree`], and
-//!   [`geohash`] encoding.
+//! - Spatial shapes: [`bbox::BoundingBox`] and [`polygon::Polygon`].
 //! - Compact storage codecs ([`codec`]): varints, zigzag deltas,
 //!   fixed-point quantization and bit-exact float transport, shared by
 //!   the sealed cold-tier trajectory segments.
@@ -37,13 +35,10 @@
 pub mod bbox;
 pub mod codec;
 pub mod distance;
-pub mod geohash;
-pub mod grid;
 pub mod motion;
 pub mod polygon;
 pub mod pos;
 pub mod projection;
-pub mod rtree;
 pub mod time;
 pub mod units;
 

@@ -9,7 +9,6 @@ use crate::pos::Position;
 use crate::projection::{LocalFrame, LocalPoint};
 use crate::time::Timestamp;
 use crate::units::knots_to_mps;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a moving object. For AIS sources this is the MMSI; for
 /// anonymous sensors (radar) it is a locally assigned track id.
@@ -35,7 +34,7 @@ pub fn vessel_shard(id: VesselId, shards: usize) -> usize {
 }
 
 /// A timestamped kinematic observation of one moving object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fix {
     /// Object identifier (MMSI or local track id).
     pub id: VesselId,
@@ -117,7 +116,7 @@ pub fn implied_course_deg(a: &Fix, b: &Fix) -> f64 {
 /// Closest point of approach between two moving objects, under the
 /// constant-velocity assumption, computed in a local frame centred
 /// between the two fixes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cpa {
     /// Time to CPA in seconds from the *later* of the two fix times
     /// (clamped at zero: if the objects are already diverging, the CPA is

@@ -7,11 +7,10 @@
 
 use crate::bbox::BoundingBox;
 use crate::pos::Position;
-use serde::{Deserialize, Serialize};
 
 /// A simple polygon (no self-intersection, not crossing the
 /// antimeridian). The ring is stored open: first vertex is not repeated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     vertices: Vec<Position>,
     bbox: BoundingBox,

@@ -1,10 +1,8 @@
 //! WGS84 positions in degrees.
 
-use serde::{Deserialize, Serialize};
-
 /// A geographic position: latitude and longitude in decimal degrees
 /// (WGS84). Latitude is positive north, longitude positive east.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Position {
     /// Latitude in degrees, valid range `[-90, 90]`.
     pub lat: f64,

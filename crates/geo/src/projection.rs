@@ -8,10 +8,9 @@
 
 use crate::pos::Position;
 use crate::units::EARTH_RADIUS_M;
-use serde::{Deserialize, Serialize};
 
 /// A point in a local east/north metric frame, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LocalPoint {
     /// Metres east of the frame origin.
     pub x: f64,
@@ -40,7 +39,7 @@ impl LocalPoint {
 }
 
 /// An equirectangular projection centred on `origin`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocalFrame {
     origin: Position,
     cos_lat: f64,

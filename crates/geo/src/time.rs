@@ -5,7 +5,6 @@
 //! never appears in algorithm code, which keeps every experiment
 //! deterministic and replayable.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A duration in milliseconds (may be negative as an intermediate value).
@@ -21,9 +20,7 @@ pub const HOUR: DurationMs = 60 * MINUTE;
 pub const DAY: DurationMs = 24 * HOUR;
 
 /// A point in event time, in milliseconds since the Unix epoch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub i64);
 
 impl Timestamp {

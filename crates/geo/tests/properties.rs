@@ -1,12 +1,8 @@
 //! Property-based tests for the geospatial substrate.
 
-use mda_geo::bbox::BoundingBox;
 use mda_geo::distance::{destination, haversine_m, initial_bearing_deg, interpolate};
-use mda_geo::geohash;
-use mda_geo::grid::GridIndex;
 use mda_geo::pos::Position;
 use mda_geo::projection::LocalFrame;
-use mda_geo::rtree::RTree;
 use mda_geo::units::{heading_delta, norm_deg_180, norm_deg_360};
 use proptest::prelude::*;
 
@@ -76,59 +72,5 @@ proptest! {
         let p = Position::new(origin.lat + dlat, origin.lon + dlon);
         let back = frame.unproject(frame.project(p));
         prop_assert!(haversine_m(p, back) < 0.5, "round-trip error too large");
-    }
-
-    #[test]
-    fn geohash_decode_contains_encoded(p in arb_pos(), precision in 1usize..=12) {
-        let h = geohash::encode(p, precision);
-        let b = geohash::decode_bbox(&h).unwrap();
-        prop_assert!(b.contains(p));
-    }
-
-    #[test]
-    fn grid_query_equals_scan(
-        pts in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..200),
-        q0 in 0.0f64..9.0,
-        q1 in 0.0f64..9.0,
-        span in 0.1f64..3.0,
-    ) {
-        let mut grid: GridIndex<usize> =
-            GridIndex::new(BoundingBox::new(0.0, 0.0, 10.0, 10.0), 8, 8);
-        let items: Vec<(Position, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, (lat, lon))| (Position::new(*lat, *lon), i))
-            .collect();
-        for (p, i) in &items {
-            grid.insert(*p, *i);
-        }
-        let q = BoundingBox::new(q0, q1, (q0 + span).min(10.0), (q1 + span).min(10.0));
-        let mut got: Vec<usize> = grid.query_bbox(&q).into_iter().map(|(_, v)| v).collect();
-        let mut want: Vec<usize> =
-            items.iter().filter(|(p, _)| q.contains(*p)).map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn rtree_query_equals_scan(
-        pts in prop::collection::vec((40.0f64..45.0, 2.0f64..9.0), 1..300),
-        q0 in 40.0f64..44.0,
-        q1 in 2.0f64..8.0,
-    ) {
-        let items: Vec<(Position, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, (lat, lon))| (Position::new(*lat, *lon), i))
-            .collect();
-        let tree = RTree::bulk_load(items.clone());
-        let q = BoundingBox::new(q0, q1, q0 + 1.0, q1 + 1.0);
-        let mut got: Vec<usize> = tree.query_bbox(&q).into_iter().map(|(_, v)| v).collect();
-        let mut want: Vec<usize> =
-            items.iter().filter(|(p, _)| q.contains(*p)).map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 }

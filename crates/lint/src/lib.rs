@@ -4,9 +4,9 @@
 //! The datAcron architecture (EDBT'17) makes promises the Rust type
 //! system cannot state: the crate DAG stays layered, decode paths
 //! never panic on disk bytes, emission order is a pure function of the
-//! event-time stream, nothing reads the wall clock, and locks nest in
-//! shard order. Each promise lives in ARCHITECTURE.md as prose; this
-//! crate makes them lexical. It is deliberately dependency-free — a
+//! event-time stream, nothing reads the wall clock, locks nest in
+//! shard order, and every library module has a caller. Each promise
+//! lives in ARCHITECTURE.md as prose; this crate makes them lexical. It is deliberately dependency-free — a
 //! hand-rolled scrubbing lexer (comments, strings, raw strings,
 //! char-vs-lifetime) plus per-rule pattern passes over the scrubbed
 //! text — so it builds offline before anything else is trusted.
@@ -18,6 +18,7 @@
 
 pub mod lexer;
 pub mod model;
+pub mod orphan;
 pub mod report;
 pub mod rules;
 
@@ -38,23 +39,29 @@ pub struct ScanOutcome {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Number of `pub mod` declarations L6 checked (0 for a `--crate`
+    /// scan: L6 needs the whole workspace to see a module's callers).
+    pub modules_checked: usize,
 }
 
 /// Run every rule over one source file. `rel` is the workspace-
 /// relative path with forward slashes; `krate` is the owning crate's
 /// model (rules L2–L4 key off the path, L1 off the crate).
 pub fn scan_source(krate: &CrateModel, rel: &str, src: &str) -> Vec<Finding> {
-    let scrub = Scrub::new(src);
-    let mut out = rules::check_allows(rel, &scrub);
-    out.extend(rules::check_imports(krate, rel, &scrub));
+    scan_scrubbed(krate, rel, &Scrub::new(src))
+}
+
+fn scan_scrubbed(krate: &CrateModel, rel: &str, scrub: &Scrub) -> Vec<Finding> {
+    let mut out = rules::check_allows(rel, scrub);
+    out.extend(rules::check_imports(krate, rel, scrub));
     if model::DECODE_SURFACE.contains(&rel) {
-        out.extend(rules::check_decode_surface(rel, &scrub));
+        out.extend(rules::check_decode_surface(rel, scrub));
     }
     if model::EMISSION_SURFACE.contains(&rel) {
-        out.extend(rules::check_emission_surface(rel, &scrub));
+        out.extend(rules::check_emission_surface(rel, scrub));
     }
-    out.extend(rules::check_wall_clock(rel, &scrub));
-    out.extend(rules::check_lock_order(rel, &scrub));
+    out.extend(rules::check_wall_clock(rel, scrub));
+    out.extend(rules::check_lock_order(rel, scrub));
     out
 }
 
@@ -87,10 +94,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Scan the crates listed in the workspace model (all of them, or the
 /// single crate named by `only`) — manifests and every `.rs` file
-/// under `src/`, `tests/`, `benches/` and `examples/`.
+/// under `src/`, `tests/`, `benches/` and `examples/`. A whole-
+/// workspace scan then runs L6 once over the files it read.
 pub fn scan_workspace(root: &Path, only: Option<&str>) -> io::Result<ScanOutcome> {
     let mut findings = Vec::new();
-    let mut files_scanned = 0usize;
+    let mut sources = Vec::new();
     for krate in model::CRATES {
         if only.is_some_and(|name| name != krate.name) {
             continue;
@@ -111,13 +119,19 @@ pub fn scan_workspace(root: &Path, only: Option<&str>) -> io::Result<ScanOutcome
             if krate.dir == "." && rel.starts_with("crates/") {
                 continue;
             }
-            let src = fs::read_to_string(&path)?;
-            files_scanned += 1;
-            findings.extend(scan_source(krate, &rel, &src));
+            let scrub = Scrub::new(&fs::read_to_string(&path)?);
+            findings.extend(scan_scrubbed(krate, &rel, &scrub));
+            sources.push(orphan::SourceFile { krate, rel, scrub });
         }
     }
+    let mut modules_checked = 0;
+    if only.is_none() {
+        let (orphans, checked) = orphan::check_orphan_modules(&sources);
+        findings.extend(orphans);
+        modules_checked = checked;
+    }
     findings.sort_by(|a, b| (&a.file, a.line, a.code).cmp(&(&b.file, b.line, b.code)));
-    Ok(ScanOutcome { findings, files_scanned })
+    Ok(ScanOutcome { findings, files_scanned: sources.len(), modules_checked })
 }
 
 /// Workspace-relative path with forward slashes.

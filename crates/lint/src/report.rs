@@ -3,7 +3,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Short rule code (`L1`..`L5`, `L0` for the allow meta-rule).
+    /// Short rule code (`L1`..`L6`, `L0` for the allow meta-rule).
     pub code: &'static str,
     /// Stable kebab-case rule id (what `lint:allow(...)` names).
     pub id: &'static str,

@@ -1,5 +1,6 @@
-//! The five invariant-discipline rules (plus the `L0` meta-rule that
-//! audits `lint:allow` escapes themselves).
+//! The six invariant-discipline rules (plus the `L0` meta-rule that
+//! audits `lint:allow` escapes themselves). L6 is cross-file and lives
+//! in [`crate::orphan`]; the rest run per file.
 //!
 //! Every rule works on a [`Scrub`]bed file: comments and strings are
 //! already blanked, `#[cfg(test)]` / `#[test]` items are masked (test
@@ -14,7 +15,7 @@ use crate::report::Finding;
 /// Static description of one rule, for `--list-rules` and the docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Short code (`L0`..`L5`).
+    /// Short code (`L0`..`L6`).
     pub code: &'static str,
     /// Stable kebab-case id — what `lint:allow(...)` must name.
     pub id: &'static str,
@@ -55,6 +56,11 @@ pub const RULES: &[RuleInfo] = &[
         code: "L5",
         id: "lock-order",
         summary: "no lock acquisition while another guard is lexically held, unless shard-ordered",
+    },
+    RuleInfo {
+        code: "L6",
+        id: "orphan-module",
+        summary: "every library `pub mod` has a caller outside its own file and its crate's tests/",
     },
 ];
 

@@ -1,11 +1,14 @@
 //! Fixture battery: one bad + one clean counterpart per rule. Files
 //! under `tests/fixtures/` are never compiled (and the workspace
 //! walker skips `fixtures` directories) — they exist purely as lint
-//! inputs, loaded here as strings.
+//! inputs, loaded here as strings. L6 is cross-file, so its cases
+//! run on a synthetic three-crate workspace written to a temp dir.
+
+use std::path::PathBuf;
 
 use mda_lint::model::crate_model;
 use mda_lint::report::Finding;
-use mda_lint::{scan_manifest, scan_source};
+use mda_lint::{scan_manifest, scan_source, scan_workspace};
 
 /// Scan `src` as if it were `rel` inside crate `name`.
 fn scan(name: &str, rel: &str, src: &str) -> Vec<Finding> {
@@ -119,4 +122,83 @@ fn cli_exits_nonzero_on_a_bad_tree() {
         stdout.contains("\"rule\":\"panic-free-decode\""),
         "machine-readable report names the rule: {stdout}"
     );
+}
+
+/// L6 case 1: `lonely` is used only by its crate's own `tests/`.
+const LONELY: &[(&str, &str)] = &[
+    ("crates/geo/src/lonely.rs", "pub fn lonely_helper() -> u8 { 1 }\n"),
+    ("crates/geo/tests/t.rs", "#[test]\nfn t() { mda_geo::lonely::lonely_helper(); }\n"),
+];
+
+/// L6 cases 2-4: `used` is called through `mda_geo::used::` from
+/// another crate; `shadowed`'s only "caller" means the same-named
+/// `Episode` of an unrelated crate; `kept` carries a justified allow.
+const OTHERS: &[(&str, &str)] = &[
+    ("crates/geo/src/used.rs", "pub fn used_helper() -> u8 { 2 }\n"),
+    ("crates/geo/src/shadowed.rs", "pub struct Episode;\n"),
+    ("crates/geo/src/kept.rs", "pub struct Kept;\n"),
+    ("crates/stream/src/lib.rs", "pub fn f() -> u8 { mda_geo::used::used_helper() }\n"),
+    ("crates/sim/src/lib.rs", "pub struct Episode;\npub fn g() -> Episode { Episode }\n"),
+];
+
+/// The geo `lib.rs` declaring every module of `files`, in order.
+fn geo_lib(files: &[(&str, &str)]) -> String {
+    let mut lib = String::new();
+    for (rel, _) in files {
+        if let Some(m) = rel.strip_prefix("crates/geo/src/").and_then(|r| r.strip_suffix(".rs")) {
+            lib += &format!("pub mod {m};");
+            if m == "kept" {
+                lib += " // lint:allow(orphan-module): fixture exercising the escape";
+            }
+            lib.push('\n');
+        }
+    }
+    lib
+}
+
+/// Write a mini-workspace of `files` plus the geo `lib.rs` declaring
+/// them into a fresh temp dir named after `tag`.
+fn mini_workspace(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("mda-lint-l6-{tag}-{}", std::process::id()));
+    let lib = geo_lib(files);
+    for (rel, src) in files.iter().chain([&("crates/geo/src/lib.rs", lib.as_str())]) {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, src).unwrap();
+    }
+    root
+}
+
+#[test]
+fn l6_orphan_module_mini_workspace() {
+    let files: Vec<_> = LONELY.iter().chain(OTHERS).copied().collect();
+    let root = mini_workspace("all", &files);
+    let outcome = scan_workspace(&root, None).unwrap();
+    std::fs::remove_dir_all(&root).ok();
+
+    assert_eq!(outcome.modules_checked, 4);
+    let flagged: Vec<(&str, &str, usize)> =
+        outcome.findings.iter().map(|f| (f.id, f.file.as_str(), f.line)).collect();
+    // Line 1 is `lonely` (case 1), line 3 is `shadowed` (case 3);
+    // `used` (case 2) and `kept` (case 4) are clean.
+    assert_eq!(
+        flagged,
+        [
+            ("orphan-module", "crates/geo/src/lib.rs", 1),
+            ("orphan-module", "crates/geo/src/lib.rs", 3)
+        ]
+    );
+}
+
+#[test]
+fn cli_exits_nonzero_on_an_orphan_module() {
+    let root = mini_workspace("cli", LONELY);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mda-lint"))
+        .args(["--root", root.to_str().unwrap()])
+        .output()
+        .expect("run mda-lint");
+    std::fs::remove_dir_all(&root).ok();
+
+    assert_eq!(out.status.code(), Some(1), "an orphan module must exit 1: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("orphan-module"), "{out:?}");
 }

@@ -25,6 +25,13 @@ fn workspace_is_lint_clean_at_head() {
         "walker found only {} files — did the crate layout move?",
         outcome.files_scanned
     );
+    // The same guard for L6: the workspace declares well over forty
+    // library `pub mod`s, so checking fewer means L6 saw nothing.
+    assert!(
+        outcome.modules_checked >= 40,
+        "L6 checked only {} `pub mod` declarations — did lib.rs parsing break?",
+        outcome.modules_checked
+    );
 }
 
 #[test]

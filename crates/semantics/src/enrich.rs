@@ -9,7 +9,6 @@
 use crate::store::{Annotation, Triple, TripleStore};
 use crate::term::{Interner, TermId};
 use mda_geo::{Fix, Polygon};
-use serde::{Deserialize, Serialize};
 
 /// Well-known predicate terms, interned once.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +33,7 @@ impl Vocabulary {
 }
 
 /// Coarse weather regimes used as graph terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeatherRegime {
     /// Under 8 m/s wind.
     Calm,

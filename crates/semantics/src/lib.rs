@@ -12,8 +12,6 @@
 //!   knowledge graph" that streaming enrichment writes into.
 //! - [`query`] — basic-graph-pattern matching with variables plus
 //!   spatio-temporal filters (time range, bounding box).
-//! - [`episodes`] — semantic trajectory segmentation (stop/move/fishing
-//!   episodes annotated with zones), after Parent et al., ref 34.
 //! - [`registry`] — synthetic vessel registries with the conflicting-
 //!   record structure of §4 (MarineTraffic vs Lloyd's) and conflict
 //!   detection/resolution.
@@ -40,14 +38,12 @@
 //! ```
 
 pub mod enrich;
-pub mod episodes;
 pub mod link;
 pub mod query;
 pub mod registry;
 pub mod store;
 pub mod term;
 
-pub use episodes::{Episode, EpisodeKind, SemanticTrajectory};
 pub use link::{discover_links, LinkConfig, LinkScore};
 pub use query::{Pattern, QueryTerm};
 pub use registry::{RegistryRecord, SourceId};

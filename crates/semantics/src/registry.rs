@@ -9,10 +9,9 @@
 //! then resolve using source-quality knowledge.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which registry a record came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceId {
     /// A crowd-sourced live database (MarineTraffic-like): fresher but
     /// noisier.
@@ -22,7 +21,7 @@ pub enum SourceId {
 }
 
 /// One registry record describing a vessel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegistryRecord {
     /// Producing source.
     pub source: SourceId,
@@ -44,7 +43,7 @@ pub struct RegistryRecord {
 }
 
 /// A detected conflict between two matched records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Conflict {
     /// Lengths differ by more than the tolerance (metres, absolute
     /// difference).

@@ -8,11 +8,10 @@
 
 use crate::term::TermId;
 use mda_geo::{BoundingBox, Position, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A triple of interned terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// Subject.
     pub s: TermId,
@@ -23,7 +22,7 @@ pub struct Triple {
 }
 
 /// Optional spatio-temporal annotation of a triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Annotation {
     /// Event time of the fact.
     pub t: Timestamp,

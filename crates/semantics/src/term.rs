@@ -1,14 +1,13 @@
 //! String interning for compact graph terms.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A compact identifier for an interned term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
 /// A bidirectional string ↔ id table.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
     by_name: HashMap<String, TermId>,
     names: Vec<String>,

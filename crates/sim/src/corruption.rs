@@ -10,10 +10,9 @@ use mda_ais::messages::StaticVoyageData;
 use mda_geo::distance::destination;
 use mda_geo::{DurationMs, Position, Timestamp};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth label attached to every simulated observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionLabel {
     /// Unmodified.
     Clean,
@@ -26,7 +25,7 @@ pub enum CorruptionLabel {
 }
 
 /// A time interval (closed) during which some deception is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Episode {
     /// Start of the episode.
     pub start: Timestamp,
@@ -105,7 +104,7 @@ pub fn corrupt_static(
 /// A GPS spoofing offset: positions reported during the episode are
 /// displaced by a fixed vector (consistent with real spoofing traces,
 /// where the fake track is smooth but elsewhere).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpoofOffset {
     /// Bearing of the displacement, degrees.
     pub bearing_deg: f64,

@@ -17,7 +17,6 @@ use mda_geo::distance::{destination, haversine_m};
 use mda_geo::units::nm_to_meters;
 use mda_geo::{DurationMs, Fix, Position, Timestamp, VesselId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Class-A AIS reporting interval as a function of speed (simplified
 /// SOTDMA schedule).
@@ -34,7 +33,7 @@ pub fn ais_report_interval(sog_kn: f64) -> DurationMs {
 }
 
 /// A shore AIS receiving station.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShoreStation {
     /// Station position.
     pub pos: Position,
@@ -50,7 +49,7 @@ impl ShoreStation {
 }
 
 /// The terrestrial + satellite AIS reception model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AisReception {
     /// Shore stations.
     pub stations: Vec<ShoreStation>,
@@ -116,7 +115,7 @@ impl AisReception {
 }
 
 /// A coastal radar station.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RadarStation {
     /// Antenna position.
     pub pos: Position,
@@ -159,7 +158,7 @@ impl RadarStation {
 }
 
 /// An anonymous radar plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadarPlot {
     /// Plot time.
     pub t: Timestamp,
@@ -171,7 +170,7 @@ pub struct RadarPlot {
 }
 
 /// A VMS position report (fisheries monitoring).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmsReport {
     /// Report time (VMS delivery is effectively reliable).
     pub t: Timestamp,

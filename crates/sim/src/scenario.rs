@@ -18,11 +18,10 @@ use mda_geo::distance::destination;
 use mda_geo::{DurationMs, Fix, Position, Timestamp, VesselId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which prebuilt world a scenario runs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// Gulf of Lion regional world (all experiments except Figure 1).
     GulfOfLion,
@@ -32,7 +31,7 @@ pub enum Region {
 
 /// Scenario parameters. Defaults encode the paper's quantitative
 /// figures.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioConfig {
     /// RNG seed: same seed, same scenario.
     pub seed: u64,
@@ -113,7 +112,7 @@ impl ScenarioConfig {
 }
 
 /// One received AIS message with provenance and ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AisObservation {
     /// Transmission (event) time.
     pub t_sent: Timestamp,

@@ -4,10 +4,9 @@ use mda_ais::messages::ShipType;
 use mda_ais::quality::imo_from_stem;
 use mda_geo::{Position, VesselId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a vessel moves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Behavior {
     /// Sail a lane from origin to destination, dwell, come back.
     LaneTransit {
@@ -41,7 +40,7 @@ pub enum Behavior {
 }
 
 /// Deception characteristics of a vessel (the veracity dimension).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeceptionProfile {
     /// Fraction of the scenario duration spent with the transponder off
     /// (0 = honest; the paper's population figure is 27% of ships dark
@@ -67,7 +66,7 @@ impl DeceptionProfile {
 }
 
 /// Full static description of a simulated vessel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VesselSpec {
     /// True MMSI.
     pub mmsi: VesselId,

@@ -8,10 +8,9 @@
 //! layer joins against.
 
 use mda_geo::{BoundingBox, Position, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Weather at one point: the variables the paper's use-cases need.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeatherSample {
     /// Wind speed, m/s.
     pub wind_mps: f64,
@@ -24,7 +23,7 @@ pub struct WeatherSample {
 }
 
 /// A deterministic synthetic weather field parameterised by a seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherField {
     seed: f64,
 }

@@ -1,10 +1,9 @@
 //! World models: ports, lanes, zones and prebuilt scenario regions.
 
 use mda_geo::{BoundingBox, Polygon, Position};
-use serde::{Deserialize, Serialize};
 
 /// A port (named anchor point of traffic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Port name (also used as destination string in type-5 messages).
     pub name: String,
@@ -13,7 +12,7 @@ pub struct Port {
 }
 
 /// What a zone means to the event detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZoneKind {
     /// Fishing or navigation prohibited.
     ProtectedArea,
@@ -26,7 +25,7 @@ pub enum ZoneKind {
 }
 
 /// A named polygonal zone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zone {
     /// Zone name.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct Zone {
 }
 
 /// A shipping lane: an ordered waypoint polyline between two ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lane {
     /// Index of the origin port in [`World::ports`].
     pub from: usize,
@@ -49,7 +48,7 @@ pub struct Lane {
 }
 
 /// A complete scenario world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// Region of interest.
     pub bounds: BoundingBox,

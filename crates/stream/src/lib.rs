@@ -10,14 +10,6 @@
 //!   processing of delayed satellite AIS batches.
 //! - **Reordering** ([`reorder`]) — buffer that releases elements in
 //!   event-time order once the watermark passes them.
-//! - **Windows** ([`window`]) — tumbling, sliding and session window
-//!   assignment plus keyed window aggregation driven by watermarks.
-//! - **Cross-stream joins** ([`join`]) — keyed interval joins between
-//!   two streams (e.g. AIS positions ⋈ weather cells), the "cross-
-//!   streaming data integration" of §2.2.
-//! - **Operators & pipelines** ([`pipeline`]) — push-based operator
-//!   chaining with per-stage instrumentation, used by `mda-core` to wire
-//!   the Figure-2 architecture.
 //! - **Parallel execution** ([`runner`]) — hash-partitioned worker pool
 //!   over channels, the stand-in for a distributed cluster.
 //! - **Barrier protocol** ([`barrier`]) — leader-electing, panic-safe
@@ -46,17 +38,11 @@
 
 pub mod barrier;
 pub mod control;
-pub mod join;
-pub mod pipeline;
 pub mod reorder;
 pub mod runner;
 pub mod watermark;
-pub mod window;
 
 pub use barrier::{run_lanes, LaneRole, Shared, TickBarrier};
 pub use control::{AdaptiveController, ArrivalWindow, ControlConfig, ControlGauges, Knobs};
-pub use join::IntervalJoin;
-pub use pipeline::{Pipeline, Stage};
 pub use reorder::ReorderBuffer;
 pub use watermark::{BoundedOutOfOrderness, SealSchedule};
-pub use window::{KeyedWindowAggregate, SessionWindows, SlidingWindows, TumblingWindows};

@@ -4,7 +4,6 @@ use mda_geo::Timestamp;
 use mda_stream::reorder::ReorderBuffer;
 use mda_stream::runner::{run_partitioned, run_shard_affine};
 use mda_stream::watermark::BoundedOutOfOrderness;
-use mda_stream::window::{SessionWindows, SlidingWindows, TumblingWindows};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -50,39 +49,6 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(&emitted, &sorted, "out-of-order emission");
         prop_assert_eq!(emitted.len(), accepted);
-    }
-
-    /// Tumbling windows partition time: every instant is in exactly the
-    /// window that `assign` returns, and boundaries line up.
-    #[test]
-    fn tumbling_partitions(t in -1_000_000i64..1_000_000, width in 1i64..100_000) {
-        let w = TumblingWindows::new(width).assign(Timestamp(t));
-        prop_assert!(w.contains(Timestamp(t)));
-        prop_assert_eq!(w.len(), width);
-        prop_assert_eq!(w.start.0.rem_euclid(width), 0);
-    }
-
-    /// Sliding windows: `assign` returns exactly the epoch-aligned
-    /// windows containing the instant.
-    #[test]
-    fn sliding_covers(t in 0i64..1_000_000, width in 1i64..50_000, slide in 1i64..50_000) {
-        let s = SlidingWindows::new(width, slide);
-        let ws = s.assign(Timestamp(t));
-        prop_assert!(!ws.is_empty() || width < slide);
-        for w in &ws {
-            prop_assert!(w.contains(Timestamp(t)));
-            prop_assert_eq!(w.start.0.rem_euclid(slide), 0);
-        }
-        // Oracle: valid starts are the multiples of `slide` in
-        // (t - width, t].
-        let earliest = (t - width + 1).max(0).next_multiple_of_custom(slide);
-        let latest = (t / slide) * slide;
-        let expected = if earliest > latest { 0 } else { (latest - earliest) / slide + 1 };
-        // Only check for t >= width to keep the oracle clear of
-        // negative-time alignment subtleties.
-        if t >= width {
-            prop_assert_eq!(ws.len() as i64, expected, "width={} slide={} t={}", width, slide, t);
-        }
     }
 
     /// `run_partitioned` loses no elements and preserves per-key input
@@ -152,41 +118,6 @@ proptest! {
             let mut sorted = seqs.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&seqs, &sorted, "shard {} processed out of order", s);
-        }
-    }
-
-    /// Session windows close only after the gap elapses.
-    #[test]
-    fn sessions_respect_gap(
-        deltas in prop::collection::vec(1i64..30_000, 1..50),
-        gap in 1_000i64..20_000,
-    ) {
-        let mut s: SessionWindows<u8> = SessionWindows::new(gap);
-        let mut t = 0i64;
-        for d in deltas {
-            let closed = s.observe(0, Timestamp(t + d));
-            if let Some(w) = closed {
-                // A closed session means the jump exceeded the gap.
-                prop_assert!(Timestamp(t + d) > w.end);
-            }
-            t += d;
-        }
-        prop_assert_eq!(s.open_count(), 1);
-    }
-}
-
-/// Helper: smallest multiple of `m` that is >= self.
-trait NextMultiple {
-    fn next_multiple_of_custom(self, m: i64) -> i64;
-}
-
-impl NextMultiple for i64 {
-    fn next_multiple_of_custom(self, m: i64) -> i64 {
-        let r = self.rem_euclid(m);
-        if r == 0 {
-            self
-        } else {
-            self + (m - r)
         }
     }
 }

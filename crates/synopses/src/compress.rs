@@ -9,10 +9,9 @@
 
 use mda_geo::distance::haversine_m;
 use mda_geo::{DurationMs, Fix};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the threshold compressor.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThresholdConfig {
     /// Maximum allowed dead-reckoning error before a fix is kept.
     pub tolerance_m: f64,

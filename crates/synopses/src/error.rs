@@ -8,10 +8,9 @@
 use mda_geo::distance::haversine_m;
 use mda_geo::motion::interpolate_fixes;
 use mda_geo::Fix;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of reconstruction error, in metres.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ErrorStats {
     /// Number of compared fixes.
     pub n: usize,

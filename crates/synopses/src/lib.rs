@@ -1,5 +1,4 @@
-//! Trajectory synopses: critical points and bounded-error compression
-//! (paper §2.1).
+//! Trajectory synopses: bounded-error compression (paper §2.1).
 //!
 //! The paper highlights that state-of-the-art synopses achieve a ~95%
 //! compression ratio over AIS vessel traces, and poses the challenge of
@@ -7,10 +6,6 @@
 //! the prediction / detection components". This crate implements both
 //! halves of that trade-off and the instruments to measure it:
 //!
-//! - [`critical`] — streaming detection of *critical points*: trajectory
-//!   start/stop, turns, speed changes, communication gaps. The critical
-//!   points *are* the synopsis: everything between them is reconstructed
-//!   by interpolation.
 //! - [`compress`] — streaming threshold (dead-reckoning) compression: a
 //!   fix is kept only when the position predicted from the last kept fix
 //!   misses the observed one by more than a tolerance.
@@ -42,11 +37,9 @@
 //! ```
 
 pub mod compress;
-pub mod critical;
 pub mod douglas;
 pub mod error;
 
 pub use compress::{ThresholdCompressor, ThresholdConfig};
-pub use critical::{CriticalPoint, CriticalPointDetector, CriticalPointKind, SynopsisConfig};
 pub use douglas::douglas_peucker;
 pub use error::{compression_ratio, reconstruction_error, ErrorStats};

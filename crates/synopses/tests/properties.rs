@@ -4,7 +4,6 @@ use mda_geo::distance::{destination, haversine_m};
 use mda_geo::units::knots_to_mps;
 use mda_geo::{Fix, Position, Timestamp};
 use mda_synopses::compress::{compress_trajectory, ThresholdCompressor, ThresholdConfig};
-use mda_synopses::critical::{detect_trajectory, SynopsisConfig};
 use mda_synopses::douglas::douglas_peucker;
 use mda_synopses::error::{compression_ratio, reconstruction_error};
 use proptest::prelude::*;
@@ -113,17 +112,5 @@ proptest! {
         prop_assert!(e.rmse_m <= e.max_m + 1e-9);
         let self_err = reconstruction_error(&fixes, &fixes);
         prop_assert!(self_err.max_m < 1e-3);
-    }
-
-    /// Critical points are emitted in time order and never exceed the
-    /// input size (plus gap double-emissions).
-    #[test]
-    fn critical_points_ordered(fixes in arb_trajectory()) {
-        let cps = detect_trajectory(&fixes, SynopsisConfig::default());
-        prop_assert!(!cps.is_empty());
-        for w in cps.windows(2) {
-            prop_assert!(w[0].fix.t <= w[1].fix.t);
-        }
-        prop_assert!(cps.len() <= fixes.len() * 2);
     }
 }

@@ -8,7 +8,6 @@
 
 use mda_geo::projection::{LocalFrame, LocalPoint};
 use mda_geo::{Position, Timestamp};
-use serde::{Deserialize, Serialize};
 
 type M4 = [[f64; 4]; 4];
 
@@ -61,7 +60,7 @@ fn m4_transpose(a: &M4) -> M4 {
 }
 
 /// Filter tuning parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KalmanConfig {
     /// Process noise intensity (white-noise acceleration PSD, m²/s³).
     pub process_noise: f64,

@@ -2,9 +2,7 @@
 //!
 //! The information-fusion layer of the architecture: build vessel tracks
 //! from heterogeneous sensors (AIS, coastal radar, VMS), associate new
-//! contacts to tracks, smooth kinematics, and estimate per-source
-//! reliability so that conflicting information can be weighed — the
-//! paper's "suitable management of conflicting information".
+//! contacts to tracks, and smooth kinematics.
 //!
 //! - [`kalman`] — constant-velocity Kalman filter over a local metric
 //!   frame, with innovation gating (Mahalanobis distance).
@@ -15,8 +13,6 @@
 //! - [`fusion`] — the [`fusion::Fuser`]: track lifecycle (tentative,
 //!   confirmed, coasted, dropped), identity management, multi-source
 //!   update, coverage accounting.
-//! - [`reliability`] — per-source reliability scores from innovation
-//!   statistics (the Ceolin-style trust assessment of §4).
 //!
 //! ## Example
 //!
@@ -41,10 +37,8 @@
 pub mod associate;
 pub mod fusion;
 pub mod kalman;
-pub mod reliability;
 pub mod sensor;
 
 pub use fusion::{Fuser, FuserConfig, Track, TrackState};
 pub use kalman::{CvKalman, KalmanConfig};
-pub use reliability::ReliabilityMonitor;
 pub use sensor::{SensorKind, SensorReport};

@@ -9,10 +9,9 @@
 //! fuser.
 
 use mda_geo::{Position, Timestamp, VesselId};
-use serde::{Deserialize, Serialize};
 
 /// The kind of sensor that produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// Terrestrial AIS receiver.
     AisTerrestrial,
@@ -49,7 +48,7 @@ impl SensorKind {
 }
 
 /// One observation from one sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReport {
     /// Producing sensor kind.
     pub kind: SensorKind,

@@ -7,10 +7,8 @@
 //! this range — the width *is* the second-order uncertainty, and it is
 //! what the operator picture shows next to every alert.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed probability interval `[lo, hi] ⊆ [0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbInterval {
     /// Lower probability.
     pub lo: f64,

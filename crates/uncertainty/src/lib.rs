@@ -7,13 +7,6 @@
 //! is absent from the AIS database is not false), and second-order
 //! uncertainty for communicating imperfect estimates faithfully.
 //!
-//! - [`prob`] — discrete distributions: normalisation, Bayesian update,
-//!   entropy.
-//! - [`evidence`] — Dempster–Shafer theory on small frames: mass
-//!   functions, belief/plausibility, Dempster's and Yager's combination
-//!   rules, pignistic transform.
-//! - [`possibility`] — possibility/necessity measures with min/max
-//!   combination.
 //! - [`interval`] — second-order uncertainty as probability intervals
 //!   with conservative interval arithmetic.
 //! - [`openworld`] — a probabilistic relation supporting closed-world
@@ -33,14 +26,8 @@
 //! assert!(both.width() <= 1.0);
 //! ```
 
-pub mod evidence;
 pub mod interval;
 pub mod openworld;
-pub mod possibility;
-pub mod prob;
 
-pub use evidence::MassFunction;
 pub use interval::ProbInterval;
 pub use openworld::{OpenWorldRelation, ProbTuple};
-pub use possibility::PossibilityDist;
-pub use prob::Distribution;

@@ -14,11 +14,10 @@
 //! unobserved part of the world may also satisfy the query.
 
 use crate::interval::ProbInterval;
-use serde::{Deserialize, Serialize};
 
 /// One probabilistic tuple: a value with its marginal probability of
 /// being true/present.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbTuple<T> {
     /// The payload (an event, an observation...).
     pub value: T,
@@ -27,7 +26,7 @@ pub struct ProbTuple<T> {
 }
 
 /// A probabilistic relation with an explicit incompleteness estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenWorldRelation<T> {
     tuples: Vec<ProbTuple<T>>,
     /// Expected number of real-world facts *missing* from the relation

@@ -1,70 +1,13 @@
 //! Property tests for the uncertainty frameworks.
 
-use mda_uncertainty::evidence::{HypSet, MassFunction};
 use mda_uncertainty::interval::ProbInterval;
-use mda_uncertainty::prob::Distribution;
 use proptest::prelude::*;
-
-/// Random mass function on a 4-hypothesis frame.
-fn arb_mass() -> impl Strategy<Value = MassFunction> {
-    prop::collection::vec((1u16..16, 0.01f64..1.0), 1..6).prop_map(|pairs| {
-        let total: f64 = pairs.iter().map(|(_, m)| m).sum();
-        MassFunction::from_masses(4, pairs.into_iter().map(|(s, m)| (s, m / total)))
-            .expect("normalised masses")
-    })
-}
 
 fn arb_interval() -> impl Strategy<Value = ProbInterval> {
     (0.0f64..1.0, 0.0f64..1.0).prop_map(|(a, b)| ProbInterval::new(a, b))
 }
 
 proptest! {
-    #[test]
-    fn mass_total_is_one(m in arb_mass()) {
-        prop_assert!((m.total() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn belief_below_plausibility(m in arb_mass(), set in 1u16..16) {
-        let set: HypSet = set;
-        prop_assert!(m.belief(set) <= m.plausibility(set) + 1e-9);
-        prop_assert!(m.belief(set) >= -1e-12);
-        prop_assert!(m.plausibility(set) <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn dempster_preserves_normalisation(a in arb_mass(), b in arb_mass()) {
-        if let Ok((c, k)) = a.combine_dempster(&b) {
-            prop_assert!((c.total() - 1.0).abs() < 1e-9);
-            prop_assert!((0.0..1.0).contains(&k) || (k - 0.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn yager_preserves_normalisation(a in arb_mass(), b in arb_mass()) {
-        let c = a.combine_yager(&b).unwrap();
-        prop_assert!((c.total() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pignistic_is_a_distribution(m in arb_mass()) {
-        let p = m.pignistic();
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for pi in p {
-            prop_assert!(pi >= -1e-12);
-        }
-    }
-
-    #[test]
-    fn pignistic_within_belief_plausibility(m in arb_mass()) {
-        let p = m.pignistic();
-        for (i, pi) in p.iter().enumerate() {
-            let s = MassFunction::singleton(i as u8);
-            prop_assert!(*pi >= m.belief(s) - 1e-9);
-            prop_assert!(*pi <= m.plausibility(s) + 1e-9);
-        }
-    }
-
     #[test]
     fn interval_ops_stay_in_unit_box(a in arb_interval(), b in arb_interval()) {
         for i in [
@@ -98,18 +41,5 @@ proptest! {
             prop_assert!(i.width() <= b.width() + 1e-12);
             prop_assert!(i.lo >= a.lo - 1e-12 && i.hi <= a.hi + 1e-12);
         }
-    }
-
-    #[test]
-    fn distribution_probabilities_sum_to_one(
-        weights in prop::collection::vec(0.01f64..10.0, 1..10)
-    ) {
-        let d = Distribution::from_weights(
-            weights.iter().enumerate().map(|(i, w)| (format!("o{i}"), *w)),
-        );
-        let total: f64 = d.iter().map(|(_, p)| p).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        prop_assert!(d.entropy_bits() >= -1e-12);
-        prop_assert!(d.entropy_bits() <= (weights.len() as f64).log2() + 1e-9);
     }
 }

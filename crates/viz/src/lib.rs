@@ -9,8 +9,6 @@
 //! - [`pyramid`] — multi-resolution aggregation with drill-down /
 //!   zoom-in queries ("scalable spatio-temporal analytical querying" at
 //!   "desired scales and levels of detail").
-//! - [`timeseries`] — time histograms for the temporal dimension of the
-//!   operator picture.
 //! - [`flows`] — origin/destination flow aggregation between named
 //!   regions (the flow-map building block).
 //!
@@ -31,10 +29,8 @@ pub mod flows;
 pub mod pyramid;
 pub mod raster;
 pub mod render;
-pub mod timeseries;
 
 pub use flows::FlowMatrix;
 pub use pyramid::AggregationPyramid;
 pub use raster::DensityRaster;
 pub use render::{render_ascii, render_ppm};
-pub use timeseries::TimeHistogram;

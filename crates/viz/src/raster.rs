@@ -1,10 +1,9 @@
 //! Density rasters: position counts over a gridded region.
 
 use mda_geo::{BoundingBox, Position};
-use serde::{Deserialize, Serialize};
 
 /// A `rows × cols` count raster over a bounding box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityRaster {
     bounds: BoundingBox,
     rows: usize,

@@ -14,7 +14,7 @@
 //! | [`stream`] | `mda-stream` | event-time stream processing |
 //! | [`synopses`] | `mda-synopses` | trajectory compression |
 //! | [`track`] | `mda-track` | multi-source fusion & tracking |
-//! | [`uncertainty`] | `mda-uncertainty` | probability/evidence/possibility |
+//! | [`uncertainty`] | `mda-uncertainty` | probability intervals, open-world relations |
 //! | [`events`] | `mda-events` | complex event recognition |
 //! | [`semantics`] | `mda-semantics` | triple store, link discovery |
 //! | [`store`] | `mda-store` | archival store, kNN over moving objects |
