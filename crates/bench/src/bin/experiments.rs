@@ -24,15 +24,6 @@ fn main() {
         ("c7", mda_bench::c7_knn::run),
         ("c8", mda_bench::c8_semantics::run),
         ("c9", mda_bench::c9_viz::run),
-        ("c10", mda_bench::c10_ingest::run),
-        ("c11", mda_bench::c11_tiered::run),
-        ("c12", mda_bench::c12_events::run),
-        ("c13", mda_bench::c13_query::run),
-        ("c14", mda_bench::c14_multi::run),
-        ("c15", mda_bench::c15_serve::run),
-        ("c16", mda_bench::c16_durability::run),
-        ("c17", mda_bench::c17_adaptive::run),
-        ("snapshot", mda_bench::snapshot::run),
     ];
     let selected: Vec<&Experiment> = if args.is_empty() {
         all.iter().collect()
@@ -40,7 +31,7 @@ fn main() {
         all.iter().filter(|(name, _)| args.iter().any(|a| a == name)).collect()
     };
     if selected.is_empty() {
-        eprintln!("unknown experiment; available: fig1 fig2 c1..c17 snapshot");
+        eprintln!("unknown experiment; available: fig1 fig2 c1..c9");
         std::process::exit(2);
     }
     let start = Instant::now();

@@ -5,11 +5,12 @@
 //! as fixes/second through the full detector stack, as a function of
 //! fleet size.
 
-use crate::util::{drive_engine_ticked, f, table, timed};
+use crate::util::{f, table, timed};
 use mda_events::engine::{EngineConfig, EventEngine};
 use mda_events::zone::NamedZone;
 use mda_geo::Fix;
 use mda_sim::scenario::{Scenario, ScenarioConfig};
+use mda_stream::watermark::TickSchedule;
 
 /// Event-time-ordered AIS fixes for a given fleet size.
 pub fn ordered_fixes(n_vessels: usize, hours: i64) -> Vec<Fix> {
@@ -38,11 +39,21 @@ pub fn engine() -> EventEngine {
 /// Feed all fixes through an engine, batched per minute of event time
 /// with an aligned tick after each minute (the pairwise detectors and
 /// the dark-vessel check run on ticks, placed by the pipeline's
-/// `TickSchedule` discipline via [`drive_engine_ticked`]); returns
-/// events emitted.
+/// [`TickSchedule`] discipline: each boundary's tick fires after
+/// exactly the fixes it covers); returns events emitted.
 pub fn drive(fixes: &[Fix]) -> u64 {
     let mut e = engine();
-    let mut events = drive_engine_ticked(&mut e, fixes);
+    let mut events = 0u64;
+    let mut ticks = TickSchedule::new(mda_geo::time::MINUTE);
+    let mut batch: Vec<Fix> = Vec::new();
+    for fix in fixes {
+        while let Some(boundary) = ticks.before_observation(fix.t) {
+            events += e.observe_batch(&std::mem::take(&mut batch)).len() as u64;
+            events += e.tick(boundary).len() as u64;
+        }
+        batch.push(*fix);
+    }
+    events += e.observe_batch(&batch).len() as u64;
     if let Some(last) = fixes.last() {
         events += e.tick(last.t).len() as u64;
     }

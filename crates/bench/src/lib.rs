@@ -1,10 +1,10 @@
-//! Experiment harness regenerating every figure and quantitative claim
-//! of the paper (see DESIGN.md §3 for the index).
+//! Experiment harness regenerating the paper's figures and quantitative
+//! claims (README § "Experiments and the benchmark" lists them).
 //!
 //! Each module exposes `run() -> String` producing the experiment's
 //! table; the `experiments` binary prints them all, and the Criterion
-//! benches in `benches/` time the hot kernels. EXPERIMENTS.md records
-//! paper-vs-measured for each row.
+//! benches in `benches/` time the hot kernels. How fast the whole
+//! pipeline is, wire to wire, is the `e2e` binary's answer.
 //!
 //! ## Example
 //!
@@ -13,14 +13,6 @@
 //! println!("{}", mda_bench::c1_synopses::run());
 //! ```
 
-pub mod c10_ingest;
-pub mod c11_tiered;
-pub mod c12_events;
-pub mod c13_query;
-pub mod c14_multi;
-pub mod c15_serve;
-pub mod c16_durability;
-pub mod c17_adaptive;
 pub mod c1_synopses;
 pub mod c2_veracity;
 pub mod c3_godark;
@@ -32,5 +24,4 @@ pub mod c8_semantics;
 pub mod c9_viz;
 pub mod fig1_coverage;
 pub mod fig2_pipeline;
-pub mod snapshot;
 pub mod util;

@@ -46,26 +46,3 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let r = f();
     (r, start.elapsed().as_secs_f64())
 }
-
-/// Drive event-time-ordered fixes through an engine with the
-/// pipeline's [`TickSchedule`](mda_stream::watermark::TickSchedule)
-/// discipline: fixes accumulate into
-/// per-aligned-minute batches for `observe_batch`, and each boundary's
-/// tick fires after exactly the fixes it covers. Returns the events
-/// emitted. Trailing sweeps (e.g. ageing out the final generation of
-/// dark vessels) are the caller's choice — the C4 and C12 drivers
-/// differ only there.
-pub fn drive_engine_ticked(engine: &mut mda_events::EventEngine, fixes: &[mda_geo::Fix]) -> u64 {
-    let mut events = 0u64;
-    let mut ticks = mda_stream::watermark::TickSchedule::new(mda_geo::time::MINUTE);
-    let mut batch: Vec<mda_geo::Fix> = Vec::new();
-    for fix in fixes {
-        while let Some(boundary) = ticks.before_observation(fix.t) {
-            events += engine.observe_batch(&std::mem::take(&mut batch)).len() as u64;
-            events += engine.tick(boundary).len() as u64;
-        }
-        batch.push(*fix);
-    }
-    events += engine.observe_batch(&batch).len() as u64;
-    events
-}

@@ -369,8 +369,8 @@ mod tests {
         assert!(r.cold_fixes > 0, "nothing was sealed cold");
         assert!(r.cold_segments > 0);
         assert_eq!(r.hot_fixes + r.cold_fixes, p.store().len() as u64);
-        // The report exposes both tiers' sizes. (Density claims live in
-        // the c11 bench over dense raw fixes; the live archive stores
+        // The report exposes both tiers' sizes. (Density is `e2e`'s
+        // `store.cold_bytes_per_fix`; the live archive stores
         // already-thinned synopses, so per-segment headers dominate.)
         let rows = r.tier_rows();
         assert_eq!(rows[0].1, r.hot_fixes);

@@ -1,6 +1,7 @@
 //! Determinism properties of the sharded, watermark-driven engine.
 //!
-//! Two invariants lock the refactor down:
+//! Two invariants lock the refactor down (and a third case checks that
+//! the vessel TTL bounds state on a churning fleet):
 //!
 //! 1. **Arrival-shuffle invariance** — feeding the same fix set through
 //!    the standard upstream discipline (reorder buffer + bounded
@@ -10,7 +11,7 @@
 //! 2. **Shard-count invariance** — the same run emits identically on
 //!    1/2/4/8 detector shards.
 
-use mda_events::engine::{EngineConfig, EventEngine};
+use mda_events::engine::{EngineConfig, EngineStateStats, EventEngine};
 use mda_events::event::MaritimeEvent;
 use mda_geo::time::{MINUTE, SECOND};
 use mda_geo::{DurationMs, Fix, Position, Timestamp};
@@ -174,4 +175,75 @@ proptest! {
             prop_assert_eq!(run(&arrivals, shards), reference.clone(), "shards diverged");
         }
     }
+}
+
+/// A churn fleet: `vessels` vessels with staggered 30–90 min lifetimes
+/// over `hours` hours of event time, one fix every 30 s while alive,
+/// then silence for good. At any instant only a fraction of the fleet
+/// is live — the shape that leaks state in an engine without a TTL.
+/// Returned in event-time order.
+fn churn_fixes(vessels: u32, hours: i64, seed: u64) -> Vec<Fix> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+    let mut unit = move || {
+        // xorshift64*, mapped to [0, 1)
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let duration = hours * 60 * MINUTE;
+    let mut fixes = Vec::new();
+    for v in 1..=vessels {
+        let life = 30 * MINUTE + (unit() * (60 * MINUTE) as f64) as i64;
+        let start = (unit() * (duration - life) as f64) as i64;
+        let pos = Position::new(42.0 + 2.0 * unit(), 3.0 + 3.0 * unit());
+        let base = Fix::new(v, Timestamp(start), pos, 0.5 + 17.5 * unit(), 360.0 * unit());
+        for t in (start..start + life).step_by((30 * SECOND) as usize) {
+            let ts = Timestamp(t);
+            fixes.push(Fix { t: ts, pos: base.dead_reckon(ts), ..base });
+        }
+    }
+    fixes.sort_by_key(|x| (x.t, x.id));
+    fixes
+}
+
+/// Drive event-time-ordered `fixes` through an engine with per-minute
+/// `observe_batch` batches and aligned ticks, then one trailing sweep
+/// past the TTL so the last generation of dark vessels can age out.
+/// Returns `(events emitted, resident state after the run)`.
+fn drive_churn(fixes: &[Fix], shards: usize, ttl: DurationMs) -> (usize, EngineStateStats) {
+    let mut engine =
+        EventEngine::new(EngineConfig { shards, vessel_ttl: ttl, ..Default::default() });
+    let mut ticks = TickSchedule::new(TICK);
+    let mut batch: Vec<Fix> = Vec::new();
+    let mut events = 0;
+    for fix in fixes {
+        while let Some(boundary) = ticks.before_observation(fix.t) {
+            events += engine.observe_batch(&std::mem::take(&mut batch)).len();
+            events += engine.tick(boundary).len();
+        }
+        batch.push(*fix);
+    }
+    events += engine.observe_batch(&batch).len();
+    if let Some(last) = fixes.last() {
+        events += engine.tick(last.t.saturating_add(ttl.saturating_add(30 * MINUTE))).len();
+    }
+    let _ = engine.take_evicted();
+    (events, engine.state_stats())
+}
+
+/// On a churn fleet a TTL ages every dark vessel out — no resident
+/// state is left once the fleet has gone quiet — without losing a live
+/// alarm, and at any shard count. Without it every vessel ever seen
+/// stays resident.
+#[test]
+fn ttl_loses_no_live_alarm_and_leaves_no_state_on_a_churn_fleet() {
+    let fixes = churn_fixes(300, 4, 3);
+    assert!(fixes.len() > 10_000, "the churn fleet must be busy");
+    let (events_ttl, bounded) = drive_churn(&fixes, 4, 30 * MINUTE);
+    let (events_kept, unbounded) = drive_churn(&fixes, 4, DurationMs::MAX);
+    assert_eq!(bounded.resident_entries(), 0, "all dark vessels must age out");
+    assert_eq!(unbounded.gap_tracked, 300, "without a TTL every vessel stays resident");
+    assert!(events_ttl >= events_kept, "a TTL must not lose live alarms");
+    assert_eq!(drive_churn(&fixes, 1, 30 * MINUTE), (events_ttl, bounded), "shards diverged");
 }

@@ -14,9 +14,8 @@
 //! - **Sessions, not threads, are the unit of fan-out.** A
 //!   subscription session ([`session`]) is a cursor into the event
 //!   ring, a pushed-down [`mda_events::ring::EventFilter`], and a
-//!   bounded queue — plain data pumped centrally, so one core sustains
-//!   tens of thousands of concurrent filtered subscribers (experiment
-//!   c15).
+//!   bounded queue — plain data pumped centrally, so a subscriber
+//!   costs a queue, not a thread.
 //! - **Slow consumers are evicted, never waited on.** Queues drop
 //!   oldest beyond capacity with exact per-session accounting; crossing
 //!   the drop bound evicts the session. Ingest and healthy sessions

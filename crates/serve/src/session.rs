@@ -75,7 +75,7 @@ pub struct PumpCursor {
     pub filter: Arc<EventFilter>,
 }
 
-/// Registry gauges, for admission reporting and the c15 experiment.
+/// Registry gauges, for admission reporting and the server's `Debug` view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Sessions currently live.

@@ -5,8 +5,7 @@
 //! are *not* the unit of scale — **sessions** are. One connection can
 //! own thousands of subscription sessions (they are plain data pumped
 //! centrally, see [`crate::session`]); the thread exists only to move
-//! bytes for its socket. The c15 experiment runs 10k sessions over a
-//! handful of connections on one CPU.
+//! bytes for its socket.
 
 use crate::conn::serve_connection;
 use crate::server::ServeCore;

@@ -91,8 +91,6 @@ pub struct RecoveryReport {
     pub watermark: Timestamp,
     /// Sealed segments adopted from the segment files.
     pub segments: usize,
-    /// Fixes inside those segments.
-    pub sealed_fixes: usize,
     /// Hot-tier fixes replayed from the WAL.
     pub hot_fixes: usize,
     /// Logged fixes past the watermark, discarded (never published
@@ -266,10 +264,7 @@ impl DurableStore {
                                     && t1 == meta.t_max
                                     && seg.len() as u64 == meta.fixes
                             })
-                            .and_then(|seg| {
-                                report.sealed_fixes += seg.len();
-                                store.adopt_segment(seg).ok()
-                            })
+                            .and_then(|seg| store.adopt_segment(seg).ok())
                             .is_some();
                         if !ok {
                             // An acknowledged record failing parse,

@@ -70,6 +70,29 @@ proptest! {
         }
     }
 
+    /// However disordered a batch is, `append_batch` pays at most one
+    /// out-of-order merge per vessel for it — a late burst is spliced
+    /// once — and never more than per-fix appends of the same stream,
+    /// which pay one sort-insert per late fix.
+    #[test]
+    fn append_batch_merges_at_most_once_per_vessel(
+        raw in prop::collection::vec((0u32..5, -200i64..200, -500i64..500), 0..400),
+        split in 0usize..400,
+    ) {
+        let fixes = batch_of(&raw);
+        let mut sequential = TrajectoryStore::new();
+        for f in &fixes {
+            sequential.append(*f);
+        }
+        let cut = split.min(fixes.len());
+        let mut batched = TrajectoryStore::new();
+        batched.append_batch(fixes[..cut].to_vec());
+        prop_assert_eq!(batched.disordered_merges(), 0, "a batch on an empty store");
+        batched.append_batch(fixes[cut..].to_vec());
+        prop_assert!(batched.disordered_merges() <= 5, "one merge per vessel per batch");
+        prop_assert!(batched.disordered_merges() <= sequential.disordered_merges());
+    }
+
     /// Lossless sealing (tolerance 0) round-trips every field of every
     /// fix bit-exactly.
     #[test]

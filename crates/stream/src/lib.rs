@@ -10,8 +10,9 @@
 //!   processing of delayed satellite AIS batches.
 //! - **Reordering** ([`reorder`]) — buffer that releases elements in
 //!   event-time order once the watermark passes them.
-//! - **Parallel execution** ([`runner`]) — hash-partitioned worker pool
-//!   over channels, the stand-in for a distributed cluster.
+//! - **Parallel execution** ([`runner`]) — shard-affine worker pool
+//!   (the stand-in for a distributed cluster) and one writer beside N
+//!   readers.
 //! - **Barrier protocol** ([`barrier`]) — leader-electing, panic-safe
 //!   tick-boundary barrier for multi-writer shard-affine ingest.
 //! - **Adaptive control** ([`control`]) — deterministic fast/slow-EMA

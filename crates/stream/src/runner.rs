@@ -1,67 +1,13 @@
-//! Hash-partitioned parallel execution over channels.
+//! Shard-affine parallel execution, and one writer beside N readers.
 //!
 //! The distributed streaming engines the paper surveys shard keyed state
-//! across workers. [`run_partitioned`] reproduces that execution model in
-//! one process: elements are routed to workers by key hash, each worker
-//! owns its shard's state, and outputs are gathered in completion order.
-//! It is the execution substrate for the throughput experiments.
+//! across workers. [`run_shard_affine`] reproduces that execution model
+//! in one process: elements are routed to workers by shard index, each
+//! worker exclusively owns its shards' state, and outputs are gathered
+//! in worker order. [`run_with_readers`] is the query-vs-ingest shape of
+//! a serving layer.
 
-use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::mpsc;
 use std::thread;
-
-/// Route `items` to `workers` shards by key hash; each worker folds its
-/// shard with `make_worker()` (a fresh stateful closure per shard) and
-/// the per-shard outputs are concatenated (shard order, then input
-/// order within a shard).
-///
-/// `key_of` extracts the partition key; all elements of one key are
-/// processed by the same worker in input order — the invariant keyed
-/// operators rely on.
-pub fn run_partitioned<T, K, O, F>(
-    items: Vec<T>,
-    workers: usize,
-    key_of: impl Fn(&T) -> K,
-    make_worker: impl Fn() -> F,
-) -> Vec<O>
-where
-    T: Send,
-    K: Hash,
-    O: Send,
-    F: FnMut(T) -> Vec<O> + Send,
-{
-    assert!(workers > 0);
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..workers).map(|_| mpsc::channel::<T>()).unzip();
-
-    // Route by key hash before spawning so senders can be dropped,
-    // closing the channels.
-    for item in items {
-        let mut h = DefaultHasher::new();
-        key_of(&item).hash(&mut h);
-        let shard = (h.finish() as usize) % workers;
-        senders[shard].send(item).expect("receiver alive");
-    }
-    drop(senders);
-
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for rx in receivers {
-            let mut work = make_worker();
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                for item in rx {
-                    out.extend(work(item));
-                }
-                out
-            }));
-        }
-        let mut all = Vec::new();
-        for h in handles {
-            all.extend(h.join().expect("worker panicked"));
-        }
-        all
-    })
-}
 
 /// Group `items` into per-shard batches, preserving input order within
 /// each shard.
@@ -170,41 +116,6 @@ where
     })
 }
 
-/// Convenience: parallel map over chunks without keying (round-robin
-/// partitioning), preserving no particular order.
-pub fn run_unordered<T, O>(items: Vec<T>, workers: usize, f: impl Fn(T) -> O + Sync) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-{
-    assert!(workers > 0);
-    let chunk = items.len().div_ceil(workers).max(1);
-    let chunks: Vec<Vec<T>> = {
-        let mut cs = Vec::new();
-        let mut it = items.into_iter();
-        loop {
-            let c: Vec<T> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            cs.push(c);
-        }
-        cs
-    };
-    thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<O>>()))
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            out.extend(h.join().expect("worker panicked"));
-        }
-        out
-    })
-}
-
 /// Run one writer to completion while `readers` concurrent reader
 /// loops poll shared state — the query-vs-ingest execution shape of a
 /// serving layer (1 ingest thread × N `QueryService` readers).
@@ -281,62 +192,6 @@ where
 mod tests {
     use super::*;
     use std::collections::HashMap;
-
-    #[test]
-    fn partitioned_preserves_per_key_order() {
-        // Elements (key, seq); worker records the order it sees.
-        let items: Vec<(u32, u32)> =
-            (0..50).flat_map(|seq| (0..8u32).map(move |k| (k, seq))).collect();
-        let out: Vec<(u32, u32)> =
-            run_partitioned(items, 4, |item| item.0, || |item: (u32, u32)| vec![item]);
-        let mut per_key: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (k, seq) in out {
-            per_key.entry(k).or_default().push(seq);
-        }
-        assert_eq!(per_key.len(), 8);
-        for (k, seqs) in per_key {
-            let mut sorted = seqs.clone();
-            sorted.sort_unstable();
-            assert_eq!(seqs, sorted, "key {k} processed out of order");
-            assert_eq!(seqs.len(), 50);
-        }
-    }
-
-    #[test]
-    fn partitioned_stateful_workers() {
-        // Running count per shard: outputs (key, running_total_in_shard).
-        let items: Vec<u32> = (0..100).map(|i| i % 10).collect();
-        let out: Vec<(u32, usize)> = run_partitioned(
-            items,
-            3,
-            |k| *k,
-            || {
-                let mut count = 0usize;
-                move |k: u32| {
-                    count += 1;
-                    vec![(k, count)]
-                }
-            },
-        );
-        assert_eq!(out.len(), 100);
-        // Total processed across shards is exactly the input size.
-        let max_counts: usize = {
-            let mut per_last: HashMap<u32, usize> = HashMap::new();
-            for (k, c) in &out {
-                per_last.insert(*k, (*c).max(*per_last.get(k).unwrap_or(&0)));
-            }
-            // Each key appears 10 times; shard counts cover all of them.
-            per_last.values().sum()
-        };
-        assert!(max_counts >= 30, "stateful counters advanced");
-    }
-
-    #[test]
-    fn single_worker_is_sequential() {
-        let items = vec![3u32, 1, 2];
-        let out: Vec<u32> = run_partitioned(items, 1, |_| 0u8, || |v: u32| vec![v]);
-        assert_eq!(out, vec![3, 1, 2]);
-    }
 
     #[test]
     fn shard_affine_covers_all_shards_in_order() {
@@ -417,22 +272,5 @@ mod tests {
         let mut seen: Vec<(usize, usize)> = out;
         seen.sort_unstable();
         assert_eq!(seen, (0..6).map(|s| (s, 10)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn unordered_map_computes_all() {
-        let items: Vec<u64> = (0..1000).collect();
-        let mut out = run_unordered(items, 8, |v| v * 2);
-        out.sort_unstable();
-        assert_eq!(out.len(), 1000);
-        assert_eq!(out[999], 1998);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<u32> = run_partitioned(Vec::<u32>::new(), 4, |v| *v, || |v: u32| vec![v]);
-        assert!(out.is_empty());
-        let out2: Vec<u32> = run_unordered(Vec::<u32>::new(), 4, |v| v);
-        assert!(out2.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use mda_geo::Timestamp;
 use mda_stream::reorder::ReorderBuffer;
-use mda_stream::runner::{run_partitioned, run_shard_affine};
+use mda_stream::runner::run_shard_affine;
 use mda_stream::watermark::BoundedOutOfOrderness;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -51,42 +51,8 @@ proptest! {
         prop_assert_eq!(emitted.len(), accepted);
     }
 
-    /// `run_partitioned` loses no elements and preserves per-key input
-    /// order, for arbitrary key distributions and 1..=8 workers.
-    #[test]
-    fn run_partitioned_no_loss_per_key_order(
-        keys in prop::collection::vec(0u32..24, 0..300),
-        workers in 1usize..=8,
-    ) {
-        // Tag each element with its global input sequence number.
-        let items: Vec<(u32, usize)> =
-            keys.iter().enumerate().map(|(seq, k)| (*k, seq)).collect();
-        let out: Vec<(u32, usize)> =
-            run_partitioned(items.clone(), workers, |it| it.0, || |it: (u32, usize)| vec![it]);
-
-        // No loss, no duplication (multiset equality).
-        prop_assert_eq!(out.len(), items.len());
-        let mut got = out.clone();
-        let mut want = items;
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-
-        // Per-key order: each key's sequence numbers appear ascending.
-        let mut per_key: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (k, seq) in out {
-            per_key.entry(k).or_default().push(seq);
-        }
-        for (k, seqs) in per_key {
-            let mut sorted = seqs.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(&seqs, &sorted, "key {} processed out of order", k);
-        }
-    }
-
-    /// `run_shard_affine` has the same no-loss / per-shard-order
-    /// contract as `run_partitioned`, for arbitrary shard maps and
-    /// worker counts.
+    /// `run_shard_affine` loses no elements and preserves per-shard
+    /// input order, for arbitrary shard maps and worker counts.
     #[test]
     fn run_shard_affine_no_loss_per_shard_order(
         shards_of in prop::collection::vec(0usize..13, 0..300),
